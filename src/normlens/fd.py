@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import CapacityError, ForeignAttributeError
-from .model import FunctionalDependency, RelationSchema
+
+if TYPE_CHECKING:  # model imports this module, so only annotations use its names
+    from .model import FunctionalDependency, RelationSchema
 
 # Candidate-key search enumerates attribute subsets, so it is capped.
 DEFAULT_KEY_CAP = 20
@@ -49,7 +51,7 @@ def is_superkey(
     relation: RelationSchema,
     fds: Sequence[FunctionalDependency],
 ) -> bool:
-    """True iff the candidate's closure covers the whole heading.
+    """True iff the candidate's closure covers the whole heading: the one superkey test.
 
     ``fds`` must already be projected onto the relation; raises
     ForeignAttributeError when the candidate strays outside the heading.
@@ -117,4 +119,4 @@ def project_fds(
     lists stable under decomposition instead of surfacing derived ones.
     """
     keep = _names(attrs)
-    return tuple(fd for fd in fds if fd.attributes <= keep)
+    return tuple(fd for fd in fds if keep.issuperset(fd.determinant + fd.dependents))

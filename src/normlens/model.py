@@ -14,9 +14,11 @@ import re
 import string
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import UnknownRelationError
+from .fd import is_superkey, project_fds
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -92,10 +94,6 @@ class FunctionalDependency:
         """Every attribute the dependency mentions, both sides."""
         return self.determinant_set | self.dependents_set
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.determinant_set.isdisjoint(self.dependents_set)
-
     def __str__(self) -> str:
         return (
             f"{self.label}: {', '.join(self.determinant)}"
@@ -138,7 +136,11 @@ class RelationSchema:
 
 @dataclass(frozen=True)
 class Schema:
-    """Named collection of relations sharing one global labeled FD list."""
+    """Named collection of relations sharing one global labeled FD list.
+
+    ``fds`` stays as written; its singleton form and attribute index are built
+    on first use and shared by ``with_relations``.
+    """
 
     name: str
     relations: tuple[RelationSchema, ...]
@@ -153,6 +155,28 @@ class Schema:
             if rel.name == name:
                 return rel
         raise UnknownRelationError(f"no relation named {name!r} in schema {self.name!r}")
+
+    def with_relations(self, relations: Iterable[RelationSchema]) -> Schema:
+        """This schema's name and FDs over other relations, sharing the FD index."""
+        derived = Schema(self.name, tuple(relations), self.fds)
+        derived.__dict__["_fd_index"] = self._fd_index
+        return derived
+
+    @cached_property
+    def _fd_index(self) -> tuple[tuple[FunctionalDependency, ...], dict[str | None, list[int]]]:
+        # A singleton fits only headings holding its anchor attribute (if any).
+        singletons = normalize_fds(self.fds)
+        index: dict[str | None, list[int]] = {}
+        for position, fd in enumerate(singletons):
+            index.setdefault(next(iter(fd.determinant + fd.dependents), None), []).append(position)
+        return singletons, index
+
+    def projected_fds(self, relation: RelationSchema) -> tuple[FunctionalDependency, ...]:
+        """``project_fds(normalize_fds(self.fds), ...)``, scanning only anchored FDs."""
+        singletons, index = self._fd_index
+        attrs = relation.attribute_set
+        anchored = itertools.chain.from_iterable(index.get(a, ()) for a in (None, *attrs))
+        return project_fds([singletons[position] for position in sorted(anchored)], attrs)
 
     @property
     def attribute_universe(self) -> frozenset[str]:
@@ -331,12 +355,8 @@ def validate_schema(schema: Schema) -> ValidationReport:
 
     if not out:
         # Structure is sound, so the closure machinery is safe to run.
-        from .fd import closure, project_fds
-
-        normalized = normalize_fds(schema.fds)
         for rel in schema.relations:
-            projected = project_fds(normalized, rel.attribute_set)
-            if not closure(rel.primary_key_set, projected) >= rel.attribute_set:
+            if not is_superkey(rel.primary_key_set, rel, schema.projected_fds(rel)):
                 out.append(
                     Violation(
                         "PRIMARY_KEY_NOT_SUPERKEY",

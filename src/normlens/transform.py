@@ -12,11 +12,12 @@ the trace lists dependencies that no longer project into any one relation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .classify import ClassificationMode, classify_nf, partition_preventing
-from .completeness import SchemaNC, schema_nc
+from .classify import ClassificationMode, partition_preventing
+from .completeness import SchemaNC, relation_nc, schema_nc
 from .errors import AlreadyBCNFError, DecompositionError
 from .fd import DEFAULT_KEY_CAP
 from .model import NormalForm, RelationSchema, Schema, normalize_fds
@@ -61,19 +62,29 @@ def decompose_step(
     *,
     rename: Mapping[str, str] | None = None,
     key_cap: int = DEFAULT_KEY_CAP,
+    nc_before: SchemaNC | None = None,
 ) -> TransformStep:
     """Split one preventing dependency group out of the named relation.
 
-    The new relation's default name is ``<source>_<determinant attributes>``
-    and the reduced relation keeps the source name by default; ``rename`` maps
-    default names to wanted ones. Raises AlreadyBCNFError when the relation
-    has no preventing dependency, DecompositionError when a moved dependent
-    belongs to the source primary key (the step would break the key) or when
-    renaming collides with an existing relation.
+    The new relation's default name is ``<source>_<determinant attributes>``,
+    made fresh with a ``_2``, ``_3``, ... suffix while a relation of the
+    schema already has it; the reduced relation keeps the source name by
+    default; ``rename`` maps default names to wanted ones. Raises
+    AlreadyBCNFError when the relation has no preventing dependency,
+    DecompositionError when a moved dependent belongs to the source primary
+    key (the step would break the key) or when renaming collides with an
+    existing relation, all before any scoring (so before strict mode's
+    CapacityError). ``nc_before`` is ``schema_nc(schema, mode)`` if the caller
+    has it, else it is computed; only the two changed relations are scored.
     """
     rename = rename or {}
     source = schema.relation(relation_name)
-    partition = partition_preventing(source, schema.fds)
+    position = schema.relations.index(source)
+    partition = (
+        nc_before.per_relation[position].partition
+        if nc_before is not None
+        else partition_preventing(source, schema.projected_fds(source))
+    )
     if not partition.preventing:
         raise AlreadyBCNFError(
             f"relation {relation_name!r} has no preventing dependency to split off"
@@ -84,11 +95,9 @@ def decompose_step(
         fd for fd in partition.preventing if fd.determinant_set == first.determinant_set
     )
     determinant = first.determinant
-    moved: list[str] = []
-    for fd in group:
-        for dep in fd.dependents:
-            if dep not in first.determinant_set and dep not in moved:
-                moved.append(dep)
+    moved = list(dict.fromkeys(
+        dep for fd in group for dep in fd.dependents if dep not in first.determinant_set
+    ))
 
     broken_key = sorted(set(moved) & source.primary_key_set)
     if broken_key:
@@ -98,7 +107,11 @@ def decompose_step(
         )
 
     spec_by_name = {spec.name: spec for spec in source.attributes}
-    new_default = f"{source.name}_{'_'.join(determinant)}"
+    taken = {rel.name for rel in schema.relations}
+    base = new_default = f"{source.name}_{'_'.join(determinant)}"
+    copies = itertools.count(2)
+    while new_default in taken:
+        new_default = f"{base}_{next(copies)}"
     new_relation = RelationSchema(
         name=rename.get(new_default, new_default),
         attributes=tuple(spec_by_name[name] for name in (*determinant, *moved)),
@@ -110,32 +123,32 @@ def decompose_step(
         primary_key=source.primary_key,
     )
 
-    other_names = {rel.name for rel in schema.relations if rel.name != source.name}
     produced = (new_relation.name, reduced_relation.name)
-    if len(set(produced)) < 2 or other_names & set(produced):
+    if len(set(produced)) < 2 or (taken - {source.name}) & set(produced):
         raise DecompositionError(
             f"decomposing {relation_name!r} produces duplicate relation names {produced}"
         )
 
-    schema_after = Schema(
-        name=schema.name,
-        relations=tuple(
-            reduced_relation if rel.name == source.name else rel
-            for rel in schema.relations
-        )
-        + (new_relation,),
-        fds=schema.fds,
+    relations = list(schema.relations)
+    relations[position] = reduced_relation
+    schema_after = schema.with_relations((*relations, new_relation))
+    if nc_before is None:
+        nc_before = schema_nc(schema, mode, key_cap=key_cap)
+    reduced_nc, new_nc = (
+        relation_nc(rel, schema_after.projected_fds(rel), mode, key_cap=key_cap)
+        for rel in (reduced_relation, new_relation)
     )
+    scores = list(nc_before.per_relation)
+    scores[position] = reduced_nc
     return TransformStep(
         source_name=source.name,
         moved_fd_labels=tuple(fd.label for fd in group),
         new_relation=new_relation,
         reduced_relation=reduced_relation,
         schema_after=schema_after,
-        nc_before=schema_nc(schema, mode, key_cap=key_cap),
-        nc_after=schema_nc(schema_after, mode, key_cap=key_cap),
-        new_relation_bcnf=classify_nf(new_relation, schema.fds, mode, key_cap=key_cap)
-        is NormalForm.BCNF,
+        nc_before=nc_before,
+        nc_after=SchemaNC(schema.name, mode, (*scores, new_nc)),
+        new_relation_bcnf=new_nc.normal_form is NormalForm.BCNF,
     )
 
 
@@ -153,42 +166,39 @@ def normalize_to_bcnf(
     BCNF with no preventing dependency: splitting cannot atomize attributes,
     nor fix a partial dependency whose determinant is already a superkey (an
     oversized primary key causes the latter).
+
+    The schema is scored once; each step scores its two changed relations
+    and hands the score on, so s steps over r relations score r + 2s.
     """
     steps: list[TransformStep] = []
     current = schema
+    nc = initial_nc = schema_nc(schema, mode, key_cap=key_cap)
     while True:
         target = next(
-            (
-                rel
-                for rel in current.relations
-                if classify_nf(rel, current.fds, mode, key_cap=key_cap)
-                is not NormalForm.BCNF
-            ),
+            (rnc for rnc in nc.per_relation if rnc.normal_form is not NormalForm.BCNF),
             None,
         )
         if target is None:
             break
-        if not partition_preventing(target, current.fds).preventing:
+        if not target.partition.preventing:
             raise DecompositionError(
-                f"relation {target.name!r} is below BCNF but has no preventing"
+                f"relation {target.relation_name!r} is below BCNF but has no preventing"
                 f" dependency; decomposition cannot raise it further"
             )
         step = decompose_step(
-            current, target.name, mode, rename=rename, key_cap=key_cap
+            current, target.relation_name, mode, rename=rename, key_cap=key_cap, nc_before=nc
         )
         steps.append(step)
-        current = step.schema_after
+        current, nc = step.schema_after, step.nc_after
 
-    unpreserved = tuple(
-        fd.label
-        for fd in normalize_fds(schema.fds)
-        if not any(fd.attributes <= rel.attribute_set for rel in current.relations)
-    )
+    preserved = {fd for rel in current.relations for fd in current.projected_fds(rel)}
     return TransformTrace(
         initial=schema,
         steps=tuple(steps),
         final=current,
-        initial_nc=steps[0].nc_before if steps else schema_nc(schema, mode, key_cap=key_cap),
-        final_nc=steps[-1].nc_after if steps else schema_nc(current, mode, key_cap=key_cap),
-        unpreserved_fd_labels=unpreserved,
+        initial_nc=initial_nc,
+        final_nc=nc,
+        unpreserved_fd_labels=tuple(
+            fd.label for fd in normalize_fds(schema.fds) if fd not in preserved
+        ),
     )

@@ -58,3 +58,47 @@ def build_corpus(
 ) -> list[tuple[Schema, list[frozenset[str]]]]:
     rng = random.Random(seed)
     return [random_case(rng) for _ in range(count)]
+
+
+MULTI_POOL = tuple(string.ascii_lowercase[:12])
+
+
+def random_multi_relation_schema(
+    rng: random.Random, relations: int = 4, fds: int = 10
+) -> Schema:
+    """Several overlapping relations sharing one global dependency list.
+
+    Relations draw 3-6 attributes from a 12-attribute pool, so one dependency
+    often projects into several relations. Each dependency is drawn inside one
+    relation's heading, and most list two or three dependents, so the
+    ``FD.a``/``FD.b`` splitting of multi-attribute right-hand sides fires.
+    Every primary key is a candidate key of its relation's projection,
+    computed by the brute-force oracle on a projection done here.
+    """
+    headings = [
+        tuple(rng.sample(MULTI_POOL, rng.randint(3, 6))) for _ in range(relations)
+    ]
+    dependencies: list[FunctionalDependency] = []
+    for index in range(fds):
+        heading = rng.choice(headings)
+        det = rng.sample(heading, rng.randint(1, 2))
+        rest = [name for name in heading if name not in det]
+        deps = rng.sample(rest, rng.randint(1, min(3, len(rest))))
+        dependencies.append(FunctionalDependency(f"F{index + 1}", tuple(det), tuple(deps)))
+    out = []
+    for number, heading in enumerate(headings, 1):
+        inside = set(heading)
+        singletons = [
+            FunctionalDependency("p", item.determinant, (dep,))
+            for item in dependencies
+            for dep in item.dependents
+            if inside.issuperset(item.determinant) and dep in inside
+        ]
+        keys = brute_force_keys(RelationSchema("R", heading, heading), singletons)
+        out.append(RelationSchema(f"R{number}", heading, tuple(sorted(rng.choice(keys)))))
+    return Schema("M", tuple(out), tuple(dependencies))
+
+
+def build_multi_corpus(count: int = 200, seed: int = 20261017) -> list[Schema]:
+    rng = random.Random(seed)
+    return [random_multi_relation_schema(rng) for _ in range(count)]

@@ -168,3 +168,23 @@ def test_repeated_runs_are_byte_identical(capsys):
     third = run(capsys, "normalize", FIXTURE, "--format", "structured")
     fourth = run(capsys, "normalize", FIXTURE, "--format", "structured")
     assert third == fourth
+
+
+@pytest.mark.parametrize("cap", ["0", "-5", "three"])
+def test_non_positive_key_cap_is_a_usage_error(capsys, cap):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["keys", FIXTURE, "--key-cap", cap])
+    assert excinfo.value.code == 4
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "positive integer" in err
+
+
+def test_non_utf8_input_exits_4_with_one_line(capsys, tmp_path):
+    bad = tmp_path / "latin1.nls"
+    bad.write_bytes("schema s\nrelation R(caf\xe9) key(caf\xe9)\n".encode("latin-1"))
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"normlens: cannot read {bad}: not valid UTF-8")
+    assert err.count("\n") == 1

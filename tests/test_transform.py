@@ -4,13 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+import normlens.completeness
+import normlens.transform
 from normlens import (
     AlreadyBCNFError,
     AttributeSpec,
+    CapacityError,
+    ClassificationMode,
     DecompositionError,
+    FunctionalDependency,
     NormalForm,
     RelationSchema,
     Schema,
+    SchemaNC,
     UnknownRelationError,
     classify_nf,
     closure,
@@ -18,10 +24,11 @@ from normlens import (
     normalize_fds,
     normalize_to_bcnf,
     project_fds,
+    relation_nc,
 )
 
 from conftest import CASE_STUDY_RENAMES
-from corpus import build_corpus, fd
+from corpus import build_corpus, build_multi_corpus, fd
 
 
 def test_first_step_moves_fd6(step1):
@@ -216,3 +223,110 @@ def test_new_relation_bcnf_flag_is_accurate(case_study, step1, step2, step3):
         for rel in trace.final.relations:
             assert classify_nf(rel, trace.final.fds) is NormalForm.BCNF
     assert flagged > 0  # the corpus does exercise the exceptional case
+
+
+def test_split_off_relation_gets_a_fresh_default_name():
+    relations = (
+        RelationSchema("R", ("a", "b", "c"), ("a",)),
+        RelationSchema("R_b", ("x",), ("x",)),
+    )
+    fds = (fd("F1", "a", "b"), fd("F2", "b", "c"), fd("F3", "a", "c"))
+    trace = normalize_to_bcnf(Schema("s", relations, fds))
+    assert [rel.heading() for rel in trace.final.relations] == [
+        "R(a, b)", "R_b(x)", "R_b_2(b, c)",
+    ]
+    taken_twice = Schema("s", (*relations, RelationSchema("R_b_2", ("y",), ("y",))), fds)
+    assert decompose_step(taken_twice, "R").new_relation.name == "R_b_3"
+    # A collision the caller asked for is still an error.
+    with pytest.raises(DecompositionError, match="duplicate"):
+        decompose_step(Schema("s", relations, fds), "R", rename={"R_b_2": "R_b"})
+
+
+def test_direct_step_raises_step_errors_before_the_key_search():
+    # key_cap=1 makes any strict-mode key search fail, so each of these must
+    # surface before scoring starts.
+    strict = {"mode": ClassificationMode.STRICT, "key_cap": 1}
+    bcnf = Schema("s", (RelationSchema("R", ("a", "b"), ("a",)),), (fd("F1", "a", "b"),))
+    broken_key = Schema(
+        "s", (RelationSchema("R", ("a", "b", "c"), ("a", "b")),), (fd("F1", "c", "a"),)
+    )
+    with pytest.raises(UnknownRelationError):
+        decompose_step(bcnf, "Nowhere", **strict)
+    with pytest.raises(AlreadyBCNFError):
+        decompose_step(bcnf, "R", **strict)
+    with pytest.raises(DecompositionError, match="primary key"):
+        decompose_step(broken_key, "R", **strict)
+    transitive = Schema(
+        "s", (RelationSchema("R", ("a", "b", "c"), ("a",)),), (fd("F1", "a", "b"), fd("F2", "b", "c"))
+    )
+    with pytest.raises(CapacityError):
+        decompose_step(transitive, "R", **strict)
+
+
+def _scored_from_scratch(schema: Schema, mode: ClassificationMode) -> SchemaNC:
+    # Every relation scored against the global FD list, bypassing the schema's
+    # FD index and any score a run carried forward.
+    return SchemaNC(
+        schema.name, mode, tuple(relation_nc(rel, schema.fds, mode) for rel in schema.relations)
+    )
+
+
+@pytest.mark.parametrize("mode", list(ClassificationMode))
+def test_carried_scores_equal_scores_recomputed_from_scratch(mode):
+    steps_seen = 0
+    for schema in build_multi_corpus(count=80):
+        try:
+            trace = normalize_to_bcnf(schema, mode)
+        except DecompositionError:
+            continue
+        before = schema
+        for step in trace.steps:
+            assert step.nc_before == _scored_from_scratch(before, mode)
+            assert step.nc_after == _scored_from_scratch(step.schema_after, mode)
+            assert step.new_relation_bcnf == (
+                classify_nf(step.new_relation, schema.fds, mode) is NormalForm.BCNF
+            )
+            before = step.schema_after
+            steps_seen += 1
+        assert trace.initial_nc == _scored_from_scratch(schema, mode)
+        assert trace.final_nc == _scored_from_scratch(trace.final, mode)
+    assert steps_seen > 100
+
+
+def _fixture_copies(schema: Schema, copies: int) -> Schema:
+    """``copies`` renamed copies of the one-relation fixture, one shared FD list."""
+    (rel,) = schema.relations
+
+    def tag(names: tuple[str, ...], copy: int) -> tuple[str, ...]:
+        return tuple(f"{name}_{copy}" for name in names)
+
+    return Schema(
+        "Copies",
+        tuple(
+            RelationSchema(f"{rel.name}_{c}", tag(rel.attribute_names, c), tag(rel.primary_key, c))
+            for c in range(copies)
+        ),
+        tuple(
+            FunctionalDependency(f"{item.label}_{c}", tag(item.determinant, c), tag(item.dependents, c))
+            for c in range(copies)
+            for item in schema.fds
+        ),
+    )
+
+
+@pytest.mark.parametrize("mode", list(ClassificationMode))
+def test_normalize_scores_only_the_relations_each_step_changes(case_study, monkeypatch, mode):
+    calls = []
+    original = normlens.completeness.relation_nc
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    for module in (normlens.completeness, normlens.transform):
+        monkeypatch.setattr(module, "relation_nc", counting, raising=False)
+    copies = 8
+    trace = normalize_to_bcnf(_fixture_copies(case_study, copies), mode)
+    assert len(trace.steps) == 3 * copies
+    assert trace.final_nc.total == 16 * copies
+    assert len(calls) <= copies + 2 * len(trace.steps)
