@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 parse error, 2 validation error (also: schema that
 cannot be decomposed further), 3 candidate-key capacity exceeded, 4 usage
-error (also: input that cannot be read or is not valid UTF-8). Results go to
-stdout, diagnostics to stderr, so structured output stays parseable even when
+error (also: input that cannot be read or is not valid UTF-8, stdin decoded
+like a file, and output that cannot be written). Results go to stdout,
+diagnostics to stderr, so structured output stays parseable even when
 warnings are present.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -19,8 +21,9 @@ from .classify import ClassificationMode
 from .completeness import schema_nc
 from .dsl import ParseResult, SourceDocument, emit_report, parse_schema
 from .errors import CapacityError, DecompositionError
-from .fd import DEFAULT_KEY_CAP, candidate_keys, project_fds
-from .model import Schema, Severity, normalize_fds
+from .fd import DEFAULT_KEY_CAP, candidate_keys
+# normalize_fds is unused here, but bench/tests checks that the tracer patches it here.
+from .model import Schema, Severity, normalize_fds  # noqa: F401
 from .transform import normalize_to_bcnf
 
 EXIT_OK = 0
@@ -103,19 +106,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(target: str) -> tuple[str, str]:
+def _read_input(target: str) -> str:
+    # Bytes from the file or stdin, decoded once; a stdin without a byte layer is text already.
+    if target == "-":
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
+    else:
+        data = Path(target).read_bytes()
     try:
-        if target == "-":
-            return sys.stdin.read(), "<stdin>"
-        return Path(target).read_text(encoding="utf-8"), target
+        return data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise OSError(f"not valid UTF-8 ({exc.reason} at offset {exc.start})") from exc
 
 
 def _keys_report(schema: Schema, key_cap: int, format: str) -> str:
-    normalized = normalize_fds(schema.fds)
     rows = [
-        (rel, candidate_keys(rel, project_fds(normalized, rel.attribute_set), cap=key_cap))
+        (rel, candidate_keys(rel, schema.projected_fds(rel), cap=key_cap))
         for rel in schema.relations
     ]
     if format == "structured":
@@ -136,7 +141,7 @@ def _keys_report(schema: Schema, key_cap: int, format: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_check(result: ParseResult, format: str) -> None:
+def _check_report(result: ParseResult, format: str) -> str:
     if format == "structured":
         payload = {
             "kind": "check",
@@ -153,63 +158,63 @@ def _run_check(result: ParseResult, format: str) -> None:
                 for d in result.diagnostics
             ],
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if result.ok and result.schema is not None:
         schema = result.schema
         warnings = sum(1 for d in result.diagnostics if d.severity is Severity.WARNING)
         note = f", {warnings} warning(s)" if warnings else ""
-        sys.stdout.write(
+        return (
             f"ok: {schema.name}: {len(schema.relations)} relation(s),"
             f" {len(schema.fds)} fd(s){note}\n"
         )
-    else:
-        errors = sum(1 for d in result.diagnostics if d.severity is Severity.ERROR)
-        sys.stdout.write(f"invalid: {errors} error(s)\n")
+    errors = sum(1 for d in result.diagnostics if d.severity is Severity.ERROR)
+    return f"invalid: {errors} error(s)\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    provenance = "<stdin>" if args.input == "-" else args.input
     try:
-        text, provenance = _read_input(args.input)
+        text = _read_input(args.input)
     except OSError as exc:
-        print(f"normlens: cannot read {args.input}: {exc}", file=sys.stderr)
+        print(f"normlens: cannot read {provenance}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     result = parse_schema(SourceDocument(text, provenance))
     for diagnostic in result.diagnostics:
         print(diagnostic.render(provenance), file=sys.stderr)
 
-    syntax_failed = bool(result.syntax_errors)
-    if args.command == "check":
-        _run_check(result, args.format)
-        if syntax_failed:
-            return EXIT_PARSE
-        return EXIT_OK if result.ok else EXIT_VALIDATION
-    if syntax_failed:
-        return EXIT_PARSE
-    if result.schema is None:
-        return EXIT_VALIDATION
-
+    code = EXIT_PARSE if result.syntax_errors else EXIT_OK if result.ok else EXIT_VALIDATION
     mode = ClassificationMode(args.mode)
     try:
-        if args.command == "analyze":
-            report = schema_nc(result.schema, mode, key_cap=args.key_cap)
-            sys.stdout.write(emit_report(report, args.format))
+        if args.command == "check":
+            out = _check_report(result, args.format)
+        elif result.schema is None:
+            return code
+        elif args.command == "analyze":
+            out = emit_report(schema_nc(result.schema, mode, key_cap=args.key_cap), args.format)
         elif args.command == "normalize":
             trace = normalize_to_bcnf(result.schema, mode, key_cap=args.key_cap)
-            sys.stdout.write(
-                emit_report(trace, args.format, dsl_snapshots=args.trace)
-            )
-        elif args.command == "keys":
-            sys.stdout.write(_keys_report(result.schema, args.key_cap, args.format))
+            out = emit_report(trace, args.format, dsl_snapshots=args.trace)
+        else:
+            out = _keys_report(result.schema, args.key_cap, args.format)
     except CapacityError as exc:
         print(f"normlens: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except DecompositionError as exc:
         print(f"normlens: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return EXIT_OK
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"normlens: cannot write output: {exc}", file=sys.stderr)
+        # Python flushes stdout again at exit; let what is left go to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ or as a stable JSON tree in which every exact rational appears as
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from typing import Any
 from .classify import ClassificationMode, FDPartition
 from .completeness import RelationNC, SchemaNC, truncated
 from .model import (
+    IDENTIFIER,
     AttributeSpec,
     FunctionalDependency,
     RelationSchema,
@@ -41,7 +43,6 @@ from .model import (
 from .transform import TransformTrace
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|[(),:*]|\S")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ class _LineParser:
 
     def expect_ident(self, what: str) -> str:
         text = self.peek()
-        if text is None or not _IDENT_RE.match(text):
+        if text is None or not IDENTIFIER.match(text):
             self.error(f"expected {what}")
         return self.take()[0]
 
@@ -146,7 +147,7 @@ class _LineParser:
     def ident_list(self, what: str) -> list[str]:
         # "empty determinant list" / "empty dependent list" / "empty key list"
         text = self.peek()
-        if text is None or not _IDENT_RE.match(text):
+        if text is None or not IDENTIFIER.match(text):
             self.error(f"empty {what} list")
         names: list[str] = []
         while True:
@@ -491,23 +492,15 @@ def emit_report(
     """
     if format not in ("text", "structured"):
         raise ValueError(f"unknown report format {format!r}")
-    if format == "structured":
-        if isinstance(report, SchemaNC):
-            payload: dict[str, Any] = {"kind": "schema_nc", **_schema_nc_dict(report)}
-        elif isinstance(report, TransformTrace):
-            payload = {"kind": "transform_trace", **_trace_dict(report)}
-        elif isinstance(report, FDPartition):
-            payload = {"kind": "fd_partition", **_partition_dict(report)}
-        else:
-            raise TypeError(f"cannot render {type(report).__name__} as a report")
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
     if isinstance(report, SchemaNC):
-        lines = _text_schema_nc(report)
+        kind, as_dict, as_text = "schema_nc", _schema_nc_dict, _text_schema_nc
     elif isinstance(report, TransformTrace):
-        lines = _text_trace(report, dsl_snapshots)
+        kind, as_dict = "transform_trace", _trace_dict
+        as_text = functools.partial(_text_trace, dsl_snapshots=dsl_snapshots)
     elif isinstance(report, FDPartition):
-        lines = _text_partition(report)
+        kind, as_dict, as_text = "fd_partition", _partition_dict, _text_partition
     else:
         raise TypeError(f"cannot render {type(report).__name__} as a report")
-    return "\n".join(lines) + "\n"
+    if format == "structured":
+        return json.dumps({"kind": kind, **as_dict(report)}, indent=2, sort_keys=True) + "\n"
+    return "\n".join(as_text(report)) + "\n"

@@ -71,7 +71,7 @@ def candidate_keys(
     *,
     cap: int = DEFAULT_KEY_CAP,
 ) -> tuple[frozenset[str], ...]:
-    """All minimal superkeys, sorted by size then lexicographically.
+    """All minimal superkeys, by size then lexicographically: the order the walk finds them.
 
     Breadth-first over subset sizes with superset pruning: once a key is
     found, none of its supersets is tested, so every survivor of the superkey
@@ -93,7 +93,6 @@ def candidate_keys(
                 continue
             if closure(subset, fds) >= attrs:
                 keys.append(subset)
-    keys.sort(key=lambda key: (len(key), tuple(sorted(key))))
     return tuple(keys)
 
 

@@ -191,7 +191,8 @@ def normalize_to_bcnf(
         steps.append(step)
         current, nc = step.schema_after, step.nc_after
 
-    preserved = {fd for rel in current.relations for fd in current.projected_fds(rel)}
+    parts = [rnc.partition for rnc in nc.per_relation]
+    preserved = {fd for part in parts for fd in part.preventing + part.non_preventing}
     return TransformTrace(
         initial=schema,
         steps=tuple(steps),

@@ -1,15 +1,39 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import normlens.cli
+import normlens.model
+from normlens import emit_schema
 from normlens.cli import main
 
-from conftest import CASE_STUDY_PATH
+from conftest import CASE_STUDY_PATH, REPO_ROOT
+from corpus import random_multi_relation_schema
 
 FIXTURE = str(CASE_STUDY_PATH)
+
+
+def run_process(*argv, stdin=b"", stdout=subprocess.PIPE, **env):
+    """``python -m normlens argv`` against this checkout's sources."""
+    return subprocess.run(
+        [sys.executable, "-m", "normlens", *argv],
+        input=stdin,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), **env},
+        check=False,
+    )
 
 
 def run(capsys, *argv):
@@ -188,3 +212,80 @@ def test_non_utf8_input_exits_4_with_one_line(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"normlens: cannot read {bad}: not valid UTF-8")
     assert err.count("\n") == 1
+
+
+def test_non_utf8_stdin_exits_4_with_one_line(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(
+        io.BytesIO(b"schema s\n\xff\n"), encoding="utf-8", errors="surrogateescape"
+    )
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "check")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("normlens: cannot read <stdin>: not valid UTF-8")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_stdin_is_decoded_as_utf8_whatever_the_stdin_encoding():
+    done = run_process(
+        "check", stdin=b"schema S\nrelation R(a, b) key(a)\n\xff\n", PYTHONIOENCODING="latin-1"
+    )
+    assert done.returncode == 4
+    assert done.stdout == b""
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("normlens: cannot read <stdin>: not valid UTF-8")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["check"], ["normalize", "--format", "structured"]])
+def test_write_failure_exits_4_with_one_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        done = run_process(*argv, FIXTURE, stdout=full, PYTHONUNBUFFERED=unbuffered)
+    assert done.returncode == 4
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("normlens: cannot write output: ")
+
+
+def test_keys_normalizes_the_fds_once(capsys, monkeypatch):
+    calls = []
+    original = normlens.model.normalize_fds
+
+    def counting(fds):
+        calls.append(len(fds))
+        return original(fds)
+
+    for module in (normlens.model, normlens.cli):
+        monkeypatch.setattr(module, "normalize_fds", counting)
+    code, out, _err = run(capsys, "keys", FIXTURE)
+    assert code == 0
+    assert "3 candidate key(s)" in out
+    assert calls == [16]
+
+
+COMMANDS = [["check"], ["analyze"], ["normalize"], ["normalize", "--trace"], ["keys"]]
+
+
+def run_on_stdin(argv, text):
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out):
+        with contextlib.redirect_stderr(io.StringIO()):
+            return main(argv), out.getvalue()
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_command_on_random_schemas_ends_with_a_documented_exit(seed):
+    text = emit_schema(random_multi_relation_schema(random.Random(seed)))
+    for command in COMMANDS:
+        for mode in ("primary", "strict"):
+            for format in ("text", "structured"):
+                for cap in ("3", "20"):
+                    argv = [*command, "--mode", mode, "--format", format, "--key-cap", cap]
+                    code, out = run_on_stdin(argv, text)
+                    assert code in (0, 2, 3), argv
+                    if code == 0 and format == "structured":
+                        json.loads(out)

@@ -167,6 +167,23 @@ def test_parser_never_crashes_on_fuzz_input(text):
         assert diag.column >= 1
 
 
+DSL_TOKENS = (
+    "schema", "relation", "fd", "key", "(", ")", ",", ":", "->", "*", "#", "-", ">",
+    "a", "b", "R", "S", "F1", "_x9", "9z", " ", " ", "\t", "\n", "\n", "\r", "\r\n",
+    "\x0c", "\x85", "\u2028", "é", "Ω", "名", "🙂",
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(DSL_TOKENS), max_size=80).map("".join))
+def test_diagnostics_point_inside_the_text_on_token_fuzz(text):
+    lines = text.splitlines()
+    for diag in parse_schema(text).diagnostics:
+        assert 1 <= diag.line <= max(1, len(lines))
+        line = lines[diag.line - 1] if lines else ""
+        assert 1 <= diag.column <= len(line) + 1
+
+
 def test_source_document_provenance_in_rendering():
     result = parse_schema(SourceDocument("schema s", "demo.nls"))
     rendered = result.diagnostics[0].render(result.provenance)

@@ -330,3 +330,28 @@ def test_normalize_scores_only_the_relations_each_step_changes(case_study, monke
     assert len(trace.steps) == 3 * copies
     assert trace.final_nc.total == 16 * copies
     assert len(calls) <= copies + 2 * len(trace.steps)
+
+
+@pytest.mark.parametrize("mode", list(ClassificationMode))
+def test_normalize_projects_each_relation_once(case_study, monkeypatch, mode):
+    # The unpreserved FDs are read from the final scores, not projected again.
+    calls = []
+    original = Schema.projected_fds
+
+    def counting(self, relation):
+        calls.append(relation.name)
+        return original(self, relation)
+
+    monkeypatch.setattr(Schema, "projected_fds", counting)
+    copies = 8
+    trace = normalize_to_bcnf(_fixture_copies(case_study, copies), mode)
+    assert len(trace.steps) == 3 * copies
+    assert len(calls) <= copies + 2 * len(trace.steps)
+    singletons = normalize_fds(trace.initial.fds)
+    preserved = {
+        fd for rel in trace.final.relations for fd in project_fds(singletons, rel.attribute_set)
+    }
+    assert trace.unpreserved_fd_labels == tuple(
+        fd.label for fd in singletons if fd not in preserved
+    )
+    assert len(trace.unpreserved_fd_labels) == 8 * copies
