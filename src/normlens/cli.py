@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 parse error, 2 validation error (also: schema that
 cannot be decomposed further), 3 candidate-key capacity exceeded, 4 usage
 error (also: input that cannot be read or is not valid UTF-8, stdin decoded
-like a file, and output that cannot be written). Results go to stdout,
-diagnostics to stderr, so structured output stays parseable even when
-warnings are present.
+like a file, output that cannot be written, and a closed stdin or stdout).
+Results go to stdout, diagnostics to stderr, so structured output stays
+parseable even when warnings are present.
 """
 
 from __future__ import annotations
@@ -109,6 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_input(target: str) -> str:
     # Bytes from the file or stdin, decoded once; a stdin without a byte layer is text already.
     if target == "-":
+        if sys.stdin is None:  # started with stdin closed
+            raise OSError("stdin is closed")
         data = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
         data = Path(target).read_bytes()
@@ -205,14 +207,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"normlens: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
+        if sys.stdout is None:  # started with stdout closed
+            raise OSError("stdout is closed")
         sys.stdout.write(out)
         sys.stdout.flush()
     except OSError as exc:
         print(f"normlens: cannot write output: {exc}", file=sys.stderr)
-        # Python flushes stdout again at exit; let what is left go to devnull.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:
+            # Python flushes stdout again at exit; let what is left go to devnull.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return EXIT_USAGE
     return code
 

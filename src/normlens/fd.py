@@ -10,7 +10,7 @@ from .errors import CapacityError, ForeignAttributeError
 if TYPE_CHECKING:  # model imports this module, so only annotations use its names
     from .model import FunctionalDependency, RelationSchema
 
-# Candidate-key search enumerates attribute subsets, so it is capped.
+# The number of candidate keys can be exponential in the heading, so key search is capped.
 DEFAULT_KEY_CAP = 20
 
 
@@ -71,29 +71,44 @@ def candidate_keys(
     *,
     cap: int = DEFAULT_KEY_CAP,
 ) -> tuple[frozenset[str], ...]:
-    """All minimal superkeys, by size then lexicographically: the order the walk finds them.
+    """All minimal superkeys, by size then lexicographically.
 
-    Breadth-first over subset sizes with superset pruning: once a key is
-    found, none of its supersets is tested, so every survivor of the superkey
-    test is minimal. The full heading is always a superkey, so the result is
-    never empty. Raises CapacityError when the heading is wider than ``cap``.
+    ``fds`` may be the schema's global list or already projected (only
+    dependencies with a determinant inside the heading count, so both agree).
+    Lucchesi & Osborn (1978): minimize the heading to a first key; for each
+    key K and dependency X -> Y, the superkey X | (K - Y) holds a new key
+    whenever it contains no known one. Minimizing drops attributes in sorted
+    order while the set stays a superkey; by Saiedian & Spencer (1996) an
+    attribute on no right-hand side is in every key and one only on
+    right-hand sides is in none, so neither is tried. Raises CapacityError
+    when the heading is wider than ``cap``: the key count can be exponential.
     """
-    names = sorted(relation.attribute_names)
-    if len(names) > cap:
+    width = len(relation.attribute_names)
+    if width > cap:
         raise CapacityError(
-            f"relation {relation.name!r} has {len(names)} attributes;"
+            f"relation {relation.name!r} has {width} attributes;"
             f" candidate-key search is capped at {cap}"
         )
     attrs = relation.attribute_set
-    keys: list[frozenset[str]] = []
-    for size in range(len(names) + 1):
-        for combo in itertools.combinations(names, size):
-            subset = frozenset(combo)
-            if any(key <= subset for key in keys):
-                continue
-            if closure(subset, fds) >= attrs:
-                keys.append(subset)
-    return tuple(keys)
+    inside = [fd for fd in fds if attrs.issuperset(fd.determinant)]
+    left = frozenset().union(*(fd.determinant for fd in inside))
+    right = attrs & frozenset().union(*(fd.dependents for fd in inside))
+    never, optional = right - left, sorted(right & left)
+
+    def minimize(superkey: frozenset[str]) -> frozenset[str]:
+        key = superkey - never
+        for attr in optional:
+            if attr in key and closure(key - {attr}, inside) >= attrs:
+                key -= {attr}
+        return key
+
+    keys = [minimize(attrs)]
+    for key in keys:  # grows while it is walked; each new key is expanded in turn
+        for fd in inside:
+            superkey = key.difference(fd.dependents).union(fd.determinant)
+            if not any(known <= superkey for known in keys):
+                keys.append(minimize(superkey))
+    return tuple(sorted(keys, key=lambda key: (len(key), sorted(key))))
 
 
 def prime_attributes(

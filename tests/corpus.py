@@ -9,7 +9,7 @@ from normlens import FunctionalDependency, RelationSchema, Schema
 
 from oracles import brute_force_keys
 
-ATTR_POOL = tuple(string.ascii_lowercase[:8])
+ATTR_POOL = tuple(string.ascii_lowercase)
 
 
 def fd(label: str, determinant: str, dependents: str) -> FunctionalDependency:
@@ -20,9 +20,10 @@ def fd(label: str, determinant: str, dependents: str) -> FunctionalDependency:
 
 
 def random_heading_and_fds(
-    rng: random.Random, max_attrs: int = 8, max_fds: int = 12
+    rng: random.Random, widths: tuple[int, int] = (2, 8), max_fds: int = 12
 ) -> tuple[tuple[str, ...], list[FunctionalDependency]]:
-    count = rng.randint(2, max_attrs)
+    """A heading of ``widths[0]``..``widths[1]`` attributes and FDs drawn inside it."""
+    count = rng.randint(*widths)
     names = ATTR_POOL[:count]
     fds: list[FunctionalDependency] = []
     for index in range(rng.randint(0, max_fds)):
@@ -36,14 +37,14 @@ def random_heading_and_fds(
 
 
 def random_case(
-    rng: random.Random, max_attrs: int = 8, max_fds: int = 12
+    rng: random.Random, widths: tuple[int, int] = (2, 8), max_fds: int = 12
 ) -> tuple[Schema, list[frozenset[str]]]:
     """One single-relation schema plus its oracle-computed candidate keys.
 
     The primary key is drawn from the candidate keys so that key-based
     classification invariants hold by construction.
     """
-    names, fds = random_heading_and_fds(rng, max_attrs, max_fds)
+    names, fds = random_heading_and_fds(rng, widths, max_fds)
     relation = RelationSchema("R", names, names)
     keys = brute_force_keys(relation, fds)
     primary = sorted(rng.choice(keys))
@@ -54,10 +55,13 @@ def random_case(
 
 
 def build_corpus(
-    count: int = 500, seed: int = 20250811
+    count: int = 500,
+    seed: int = 20250811,
+    widths: tuple[int, int] = (2, 8),
+    max_fds: int = 12,
 ) -> list[tuple[Schema, list[frozenset[str]]]]:
     rng = random.Random(seed)
-    return [random_case(rng) for _ in range(count)]
+    return [random_case(rng, widths, max_fds) for _ in range(count)]
 
 
 MULTI_POOL = tuple(string.ascii_lowercase[:12])

@@ -24,14 +24,18 @@ from corpus import random_multi_relation_schema
 FIXTURE = str(CASE_STUDY_PATH)
 
 
-def run_process(*argv, stdin=b"", stdout=subprocess.PIPE, **env):
-    """``python -m normlens argv`` against this checkout's sources."""
+def run_process(*argv, stdin=b"", stdout=subprocess.PIPE, closed=None, **env):
+    """``python -m normlens argv`` against this checkout's sources.
+
+    ``closed`` names a descriptor to close in the child before Python starts.
+    """
     return subprocess.run(
         [sys.executable, "-m", "normlens", *argv],
         input=stdin,
         stdout=stdout,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), **env},
+        preexec_fn=None if closed is None else lambda: os.close(closed),
         check=False,
     )
 
@@ -247,6 +251,21 @@ def test_write_failure_exits_4_with_one_line(argv, unbuffered):
     lines = done.stderr.decode().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("normlens: cannot write output: ")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor in the child")
+def test_closed_stdin_exits_4_with_one_line():
+    done = run_process("check", closed=0)
+    assert done.returncode == 4
+    assert done.stdout == b""
+    assert done.stderr.decode().splitlines() == ["normlens: cannot read <stdin>: stdin is closed"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor in the child")
+def test_closed_stdout_exits_4_with_one_line():
+    done = run_process("check", "-", stdin=CASE_STUDY_PATH.read_bytes(), closed=1)
+    assert done.returncode == 4
+    assert done.stderr.decode().splitlines() == ["normlens: cannot write output: stdout is closed"]
 
 
 def test_keys_normalizes_the_fds_once(capsys, monkeypatch):

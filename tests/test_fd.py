@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import itertools
+import random
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import normlens.fd
 from normlens import (
     CapacityError,
     ForeignAttributeError,
@@ -14,11 +17,12 @@ from normlens import (
     candidate_keys,
     closure,
     is_superkey,
+    normalize_fds,
     prime_attributes,
     project_fds,
 )
 
-from corpus import fd
+from corpus import build_corpus, build_multi_corpus, fd
 from oracles import brute_force_keys, naive_closure
 
 ALL_CASE_ATTRS = frozenset(
@@ -96,6 +100,66 @@ def test_candidate_keys_capacity_error():
     small = RelationSchema("R", ("a", "b", "c", "d"), ("a",))
     with pytest.raises(CapacityError):
         candidate_keys(small, (), cap=3)
+
+
+def test_candidate_keys_match_brute_force_on_wide_headings():
+    # Wider than build_corpus's default 8 attributes, still within brute force's reach.
+    for schema, keys in build_corpus(60, seed=20261018, widths=(9, 13), max_fds=16):
+        assert candidate_keys(schema.relations[0], schema.fds) == tuple(keys)
+
+
+@pytest.mark.parametrize("pairs", range(1, 7))
+def test_equivalent_pairs_give_every_choice_as_a_key(pairs):
+    # a_i <-> b_i for each i: a key picks one side of every pair, 2**pairs keys.
+    sides = [(f"a{i}", f"b{i}") for i in range(pairs)]
+    rel = RelationSchema("R", tuple(itertools.chain(*sides)), tuple(a for a, _ in sides))
+    fds = [fd(f"F{a}", a, b) for a, b in sides] + [fd(f"F{b}", b, a) for a, b in sides]
+    expected = sorted((frozenset(choice) for choice in itertools.product(*sides)), key=sorted)
+    assert candidate_keys(rel, fds) == tuple(expected)
+    assert len(expected) == 2**pairs
+
+
+def test_candidate_keys_work_grows_with_the_keys_not_the_subsets(monkeypatch):
+    # Disjoint planted keys of sizes 3, 4 and 5 over 20 attributes, each
+    # determining every other attribute; the remaining 8 are non-prime. A walk
+    # over attribute subsets needs hundreds of thousands of closures here.
+    names = [f"a{index:02d}" for index in range(20)]
+    random.Random(20).shuffle(names)
+    planted = [names[0:3], names[3:7], names[7:12]]
+    rel = RelationSchema("W", tuple(sorted(names)), tuple(planted[0]))
+    fds = normalize_fds(
+        [
+            FunctionalDependency(f"K{number}", tuple(key), tuple(a for a in names if a not in key))
+            for number, key in enumerate(planted, 1)
+        ]
+    )
+    calls = []
+    original = normlens.fd.closure
+
+    def counting(start, dependencies):
+        calls.append(start)
+        return original(start, dependencies)
+
+    monkeypatch.setattr(normlens.fd, "closure", counting)
+    keys = candidate_keys(rel, fds)
+    assert keys == tuple(frozenset(key) for key in planted)
+    assert len(calls) <= len(keys) * (len(fds) + 1) * len(names)
+
+
+def test_candidate_keys_of_global_and_projected_fds_agree():
+    for schema in build_multi_corpus(200):
+        for rel in schema.relations:
+            assert candidate_keys(rel, schema.fds) == candidate_keys(
+                rel, schema.projected_fds(rel)
+            )
+
+
+def test_candidate_keys_ignore_dependencies_through_foreign_attributes():
+    # a -> z -> b chains through z, which R lacks, so it does not give a -> b.
+    rel = RelationSchema("R", ("a", "b"), ("a", "b"))
+    assert candidate_keys(rel, (fd("F1", "a", "z"), fd("F2", "z", "b"))) == (
+        frozenset({"a", "b"}),
+    )
 
 
 def test_prime_attributes(case_relation, case_fds):
