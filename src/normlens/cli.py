@@ -45,6 +45,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+_COMMANDS = (
+    ("analyze", "classify, partition and score every relation"),
+    ("normalize", "decompose until every relation is in BCNF"),
+    ("keys", "list candidate keys per relation"),
+    ("check", "parse and validate only"),
+)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "input",
@@ -81,28 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
         " and decompose them to BCNF.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    analyze = sub.add_parser(
-        "analyze", help="classify, partition and score every relation"
-    )
-    _add_common(analyze)
-
-    normalize = sub.add_parser(
-        "normalize", help="decompose until every relation is in BCNF"
-    )
-    _add_common(normalize)
-    normalize.add_argument(
-        "--trace",
-        action="store_true",
-        help="include every intermediate schema in DSL form (text output)",
-    )
-
-    keys = sub.add_parser("keys", help="list candidate keys per relation")
-    _add_common(keys)
-
-    check = sub.add_parser("check", help="parse and validate only")
-    _add_common(check)
-
+    for name, summary in _COMMANDS:
+        command = sub.add_parser(name, help=summary)
+        _add_common(command)
+        if name == "normalize":
+            command.add_argument(
+                "--trace",
+                action="store_true",
+                help="include every intermediate schema in DSL form (text output)",
+            )
     return parser
 
 

@@ -94,19 +94,18 @@ class _LineParser:
     def __init__(self, sink: list[ParseDiagnostic], line_no: int, content: str):
         self.sink = sink
         self.line_no = line_no
-        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(content)]
+        self.tokens: list[tuple[str | None, int]] = [
+            (m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(content)
+        ]
+        # End of line: no text, one column past the last non-blank character.
+        self.tokens.append((None, len(content.rstrip()) + 1))
         self.pos = 0
-        self.end_col = len(content.rstrip()) + 1
 
     def peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
+        return self.tokens[self.pos][0]
 
     def next_col(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return self.end_col
+        return self.tokens[self.pos][1]
 
     def take(self) -> tuple[str, int]:
         token = self.tokens[self.pos]
@@ -124,11 +123,6 @@ class _LineParser:
         )
         raise _LineError
 
-    def warn(self, message: str, column: int) -> None:
-        self.sink.append(
-            ParseDiagnostic(self.line_no, column, Severity.WARNING, message)
-        )
-
     def expect(self, token: str) -> None:
         if self.peek() != token:
             self.error(f"expected '{token}'")
@@ -141,7 +135,7 @@ class _LineParser:
         return self.take()[0]
 
     def expect_end(self, context: str) -> None:
-        if self.pos < len(self.tokens):
+        if self.peek() is not None:
             self.error(f"unexpected text after {context}")
 
     def ident_list(self, what: str) -> list[str]:
@@ -154,7 +148,8 @@ class _LineParser:
             col = self.next_col()
             name = self.expect_ident(f"{what} attribute")
             if name in names:
-                self.warn(f"duplicate attribute {name!r} in {what} list (ignored)", col)
+                message = f"duplicate attribute {name!r} in {what} list (ignored)"
+                self.sink.append(ParseDiagnostic(self.line_no, col, Severity.WARNING, message))
             else:
                 names.append(name)
             if self.peek() != ",":
@@ -177,13 +172,16 @@ def parse_schema(source: SourceDocument | str) -> ParseResult:
     fds: list[FunctionalDependency] = []
     anchors: dict[tuple[str, str], tuple[int, int]] = {}
 
-    for line_no, raw in enumerate(doc.text.splitlines(), 1):
+    # One leading byte-order mark, as some editors write, is not schema text.
+    for line_no, raw in enumerate(doc.text.removeprefix("\ufeff").splitlines(), 1):
         content = raw.split("#", 1)[0]
         if not content.strip():
             continue
         lp = _LineParser(diagnostics, line_no, content)
         head, head_col = lp.take()
         try:
+            if head in ("relation", "fd") and schema_name is None:
+                lp.error("expected 'schema' declaration first", head_col)
             if head == "schema":
                 if schema_name is not None:
                     lp.error("duplicate schema declaration", head_col)
@@ -192,8 +190,6 @@ def parse_schema(source: SourceDocument | str) -> ParseResult:
                 schema_name = name
                 schema_anchor = (line_no, head_col)
             elif head == "relation":
-                if schema_name is None:
-                    lp.error("expected 'schema' declaration first", head_col)
                 if fds:
                     lp.error(
                         "relation declarations must come before fd declarations",
@@ -216,10 +212,7 @@ def parse_schema(source: SourceDocument | str) -> ParseResult:
                         break
                     lp.take()
                 lp.expect(")")
-                keyword = lp.peek()
-                if keyword != "key":
-                    lp.error("expected 'key'")
-                lp.take()
+                lp.expect("key")
                 lp.expect("(")
                 key = lp.ident_list("key")
                 lp.expect(")")
@@ -227,8 +220,6 @@ def parse_schema(source: SourceDocument | str) -> ParseResult:
                 relations.append(RelationSchema(name, tuple(attrs), tuple(key)))
                 anchors[("relation", name)] = (line_no, name_col)
             elif head == "fd":
-                if schema_name is None:
-                    lp.error("expected 'schema' declaration first", head_col)
                 label_col = lp.next_col()
                 label = lp.expect_ident("fd label")
                 lp.expect(":")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 import normlens.cli
 import normlens.model
 from normlens import emit_schema
-from normlens.cli import main
+from normlens.cli import build_parser, main
+from normlens.fd import DEFAULT_KEY_CAP
 
 from conftest import CASE_STUDY_PATH, REPO_ROOT
 from corpus import random_multi_relation_schema
@@ -166,6 +168,31 @@ def test_usage_errors_exit_4(capsys):
     assert excinfo.value.code == 4
 
 
+def test_the_command_table(capsys):
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [(c.dest, c.help) for c in commands._choices_actions] == [
+        ("analyze", "classify, partition and score every relation"),
+        ("normalize", "decompose until every relation is in BCNF"),
+        ("keys", "list candidate keys per relation"),
+        ("check", "parse and validate only"),
+    ]
+    common = {"input": "-", "mode": "primary", "format": "text", "key_cap": DEFAULT_KEY_CAP}
+    for name in ("analyze", "normalize", "keys", "check"):
+        trace = {"trace": False} if name == "normalize" else {}
+        assert vars(parser.parse_args([name])) == {"command": name, **common, **trace}
+        argv = [name, "--mode", "strict", "--format", "structured", "--key-cap", "3", FIXTURE]
+        assert vars(parser.parse_args(argv)) == {
+            "command": name, "input": FIXTURE, "mode": "strict", "format": "structured",
+            "key_cap": 3, **trace,
+        }
+    for name in ("analyze", "keys", "check"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([name, "--trace", FIXTURE])
+        assert excinfo.value.code == 4
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
+
+
 def test_missing_file_exits_4(capsys):
     code, _out, err = run(capsys, "analyze", "does-not-exist.nls")
     assert code == 4
@@ -308,3 +335,18 @@ def test_every_command_on_random_schemas_ends_with_a_documented_exit(seed):
                     assert code in (0, 2, 3), argv
                     if code == 0 and format == "structured":
                         json.loads(out)
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, via):
+    def analyze(text):
+        if via == "stdin":
+            return run_on_stdin(["analyze"], text)
+        path = tmp_path / "schema.nls"
+        path.write_text(text, encoding="utf-8")
+        return run(capsys, "analyze", str(path))[:2]
+
+    text = "schema s\nrelation R(a, b) key(a)\nfd F1: a -> b\n"
+    with_mark = analyze("\ufeff" + text)
+    assert with_mark == analyze(text)
+    assert with_mark[0] == 0

@@ -184,6 +184,76 @@ def test_diagnostics_point_inside_the_text_on_token_fuzz(text):
         assert 1 <= diag.column <= len(line) + 1
 
 
+_HEAD = "schema s\n"
+_REL = "schema s\nrelation R(a, b) key(a)\n"
+_NO_RELATIONS = (1, 1, "error", "schema declares no relations")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("schema", [(1, 7, "error", "expected schema name"),
+                    (1, 1, "error", "missing schema declaration")]),
+        ("schema  ", [(1, 7, "error", "expected schema name"),
+                      (1, 1, "error", "missing schema declaration")]),
+        ("schema 9", [(1, 8, "error", "expected schema name"),
+                      (1, 1, "error", "missing schema declaration")]),
+        ("schema s extra", [(1, 10, "error", "unexpected text after schema declaration"),
+                            (1, 1, "error", "missing schema declaration")]),
+        (_HEAD + "schema t", [(2, 1, "error", "duplicate schema declaration"), _NO_RELATIONS]),
+        ("relation R(a) key(a)", [(1, 1, "error", "expected 'schema' declaration first"),
+                                  (1, 1, "error", "missing schema declaration")]),
+        ("fd F1: a -> b\n" + _REL, [(1, 1, "error", "expected 'schema' declaration first")]),
+        (_HEAD + "table R(a)",
+         [(2, 1, "error", "expected 'schema', 'relation' or 'fd', got 'table'"), _NO_RELATIONS]),
+        (_HEAD + "relation R(a", [(2, 13, "error", "expected ')'"), _NO_RELATIONS]),
+        ("schema s\r\nrelation R(a\r\n", [(2, 13, "error", "expected ')'"), _NO_RELATIONS]),
+        (_HEAD + "relation R(a)", [(2, 14, "error", "expected 'key'"), _NO_RELATIONS]),
+        (_HEAD + "relation R(a)   ", [(2, 14, "error", "expected 'key'"), _NO_RELATIONS]),
+        (_HEAD + "relation R(a)  # note", [(2, 14, "error", "expected 'key'"), _NO_RELATIONS]),
+        (_HEAD + "relation R(a) kee(a)", [(2, 15, "error", "expected 'key'"), _NO_RELATIONS]),
+        (_HEAD + "relation R(a) key", [(2, 18, "error", "expected '('"), _NO_RELATIONS]),
+        (_HEAD + "relation R(a) key(a", [(2, 20, "error", "expected ')'"), _NO_RELATIONS]),
+        (_HEAD + "relation R(a) key(a\t\x0c", [(2, 20, "error", "expected ')'"), _NO_RELATIONS]),
+        (_HEAD + "relation R(a) key()", [(2, 19, "error", "empty key list"), _NO_RELATIONS]),
+        (_HEAD + "relation R()", [(2, 12, "error", "empty attribute list"), _NO_RELATIONS]),
+        (_HEAD + "relation R(a,) key(a)",
+         [(2, 14, "error", "expected attribute name"), _NO_RELATIONS]),
+        (_HEAD + "relation 9R(a) key(a)",
+         [(2, 10, "error", "expected relation name"), _NO_RELATIONS]),
+        (_HEAD + "relation R a", [(2, 12, "error", "expected '('"), _NO_RELATIONS]),
+        (_HEAD + "relation R(a*, b) key(a) x",
+         [(2, 26, "error", "unexpected text after relation declaration"), _NO_RELATIONS]),
+        (_HEAD + "relation R(a, b) key(a, a)",
+         [(2, 25, "warning", "duplicate attribute 'a' in key list (ignored)"),
+          (2, 10, "warning",
+           "primary key (a) of relation 'R' does not determine every attribute")]),
+        (_REL + "fd F1: a", [(3, 9, "error", "expected '->'")]),
+        (_REL + "fd F1: a   # note", [(3, 9, "error", "expected '->'")]),
+        (_REL + "fd : a -> b", [(3, 4, "error", "expected fd label")]),
+        (_REL + "fd F1 a -> b", [(3, 7, "error", "expected ':'")]),
+        (_REL + "fd F1: -> b", [(3, 8, "error", "empty determinant list")]),
+        (_REL + "fd F1: a ->", [(3, 12, "error", "empty dependent list")]),
+        (_REL + "fd F1: a -> b,", [(3, 15, "error", "expected dependent attribute")]),
+        (_REL + "fd F1: a -> b c", [(3, 15, "error", "unexpected text after fd declaration")]),
+        (_REL + "fd F1: a, a -> b",
+         [(3, 11, "warning", "duplicate attribute 'a' in determinant list (ignored)")]),
+        (_REL + "fd F1: a -> b\nrelation T(c) key(c)",
+         [(4, 1, "error", "relation declarations must come before fd declarations")]),
+    ],
+)
+def test_syntax_messages_and_columns(text, expected):
+    diagnostics = parse_schema(text).diagnostics
+    assert [(d.line, d.column, d.severity.value, d.message) for d in diagnostics] == expected
+
+
+def test_a_leading_byte_order_mark_is_not_schema_text():
+    text = "schema s\nrelation R(a, b) key(a)\nfd F1: a -> b\n"
+    result = parse_schema("\ufeff" + text)
+    assert result.ok
+    assert result == parse_schema(text)
+
+
 def test_source_document_provenance_in_rendering():
     result = parse_schema(SourceDocument("schema s", "demo.nls"))
     rendered = result.diagnostics[0].render(result.provenance)

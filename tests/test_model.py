@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,8 @@ from normlens import (
     NormalForm,
     RelationSchema,
     Schema,
+    Severity,
+    Violation,
     candidate_keys,
     classify_nf,
     normalize_fds,
@@ -128,6 +131,136 @@ def test_empty_relation_is_rejected():
 )
 def test_structural_violations(schema, expected):
     assert expected in {v.code for v in validate_schema(schema).errors}
+
+
+def _one_relation(*fds, attributes=("a", "b"), key=("a",), name="R"):
+    return Schema("s", (RelationSchema(name, attributes, key),), fds)
+
+
+def _error(code, message, relation=None, fd_label=None):
+    return Violation(code, message, Severity.ERROR, relation, fd_label)
+
+
+FINDINGS = [
+    (
+        Schema("bad name", (RelationSchema("R", ("a",), ("a",)),)),
+        [_error("BAD_SCHEMA_NAME", "schema name 'bad name' is not an identifier")],
+    ),
+    (
+        _one_relation(name="9R", attributes=("a",)),
+        [_error("BAD_RELATION_NAME", "relation name '9R' is not an identifier", "9R")],
+    ),
+    (
+        _one_relation(attributes=()),
+        [
+            _error("EMPTY_RELATION", "relation 'R' has no attributes", "R"),
+            _error(
+                "PRIMARY_KEY_NOT_IN_RELATION",
+                "primary key attributes ['a'] are not attributes of relation 'R'",
+                "R",
+            ),
+        ],
+    ),
+    (
+        _one_relation(attributes=("a", "b c")),
+        [
+            _error(
+                "BAD_ATTRIBUTE_NAME",
+                "attribute name 'b c' in relation 'R' is not an identifier",
+                "R",
+            )
+        ],
+    ),
+    (
+        _one_relation(attributes=("a", "a")),
+        [_error("DUPLICATE_ATTRIBUTE", "attribute 'a' appears twice in relation 'R'", "R")],
+    ),
+    (
+        _one_relation(key=()),
+        [_error("EMPTY_PRIMARY_KEY", "relation 'R' has an empty primary key", "R")],
+    ),
+    (
+        _one_relation(key=("a", "z")),
+        [
+            _error(
+                "PRIMARY_KEY_NOT_IN_RELATION",
+                "primary key attributes ['z'] are not attributes of relation 'R'",
+                "R",
+            )
+        ],
+    ),
+    (
+        Schema("s", (RelationSchema("R", ("a",), ("a",)), RelationSchema("R", ("b",), ("b",)))),
+        [_error("DUPLICATE_RELATION_NAME", "relation name 'R' declared more than once", "R")],
+    ),
+    (
+        _one_relation(fd("F-1", "a", "b")),
+        [_error("BAD_FD_LABEL", "fd label 'F-1' is not an identifier", fd_label="F-1")],
+    ),
+    (
+        _one_relation(fd("F1", "a", "b"), fd("F1", "b", "a")),
+        [_error("DUPLICATE_FD_LABEL", "fd label 'F1' used more than once", fd_label="F1")],
+    ),
+    (
+        _one_relation(fd("F1", "", "b")),
+        [_error("EMPTY_DETERMINANT", "fd 'F1' has an empty determinant", fd_label="F1")],
+    ),
+    (
+        _one_relation(fd("F1", "a", "")),
+        [_error("EMPTY_DEPENDENTS", "fd 'F1' has an empty dependent list", fd_label="F1")],
+    ),
+    (
+        _one_relation(fd("F1", "a", "9b")),
+        [
+            _error(
+                "BAD_ATTRIBUTE_NAME",
+                "attribute name '9b' in fd 'F1' is not an identifier",
+                fd_label="F1",
+            ),
+            _error(
+                "UNKNOWN_FD_ATTRIBUTE",
+                "fd 'F1' mentions ['9b'], which belong to no relation",
+                fd_label="F1",
+            ),
+        ],
+    ),
+    (
+        _one_relation(fd("F1", "a", "a b")),
+        [_error("TRIVIAL_FD", "fd 'F1' is trivial: ['a'] appear on both sides", fd_label="F1")],
+    ),
+    (
+        _one_relation(fd("F1", "a", "z")),
+        [
+            _error(
+                "UNKNOWN_FD_ATTRIBUTE",
+                "fd 'F1' mentions ['z'], which belong to no relation",
+                fd_label="F1",
+            )
+        ],
+    ),
+    (
+        _one_relation(),
+        [
+            Violation(
+                "PRIMARY_KEY_NOT_SUPERKEY",
+                "primary key (a) of relation 'R' does not determine every attribute",
+                Severity.WARNING,
+                relation="R",
+            )
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("schema, expected", FINDINGS, ids=[v[0].code for _, v in FINDINGS])
+def test_every_validation_finding(schema, expected):
+    assert list(validate_schema(schema).violations) == expected
+
+
+def test_the_finding_table_covers_every_documented_code():
+    documented = set(re.findall(r"[A-Z]+(?:_[A-Z]+)+", validate_schema.__doc__))
+    assert {v.code for _, found in FINDINGS for v in found} == documented
+    assert len(documented) == 15
 
 
 def test_primary_key_not_superkey_is_a_warning_only():
