@@ -26,7 +26,6 @@ from .completeness import (
 from .dsl import (
     ParseDiagnostic,
     ParseResult,
-    SourceDocument,
     emit_report,
     emit_schema,
     parse_schema,
@@ -44,7 +43,6 @@ from .fd import (
     candidate_keys,
     closure,
     is_superkey,
-    prime_attributes,
     project_fds,
 )
 from .model import (
@@ -87,7 +85,6 @@ __all__ = [
     "Schema",
     "SchemaNC",
     "Severity",
-    "SourceDocument",
     "TransformStep",
     "TransformTrace",
     "UnknownRelationError",
@@ -105,7 +102,6 @@ __all__ = [
     "normalize_to_bcnf",
     "parse_schema",
     "partition_preventing",
-    "prime_attributes",
     "project_fds",
     "relation_nc",
     "schema_nc",

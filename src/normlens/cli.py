@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .classify import ClassificationMode
 from .completeness import schema_nc
-from .dsl import ParseResult, SourceDocument, emit_report, parse_schema
+from .dsl import ParseResult, emit_report, parse_schema
 from .errors import CapacityError, DecompositionError
 from .fd import DEFAULT_KEY_CAP, candidate_keys
 # normalize_fds is unused here, but bench/tests checks that the tracer patches it here.
@@ -177,7 +177,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"normlens: cannot read {provenance}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    result = parse_schema(SourceDocument(text, provenance))
+    result = parse_schema(text)
     for diagnostic in result.diagnostics:
         print(diagnostic.render(provenance), file=sys.stderr)
 

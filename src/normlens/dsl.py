@@ -46,14 +46,6 @@ _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|[(),:*]|\S")
 
 
 @dataclass(frozen=True)
-class SourceDocument:
-    """Input text plus where it came from (file path or '<stdin>')."""
-
-    text: str
-    provenance: str = "<stdin>"
-
-
-@dataclass(frozen=True)
 class ParseDiagnostic:
     line: int
     column: int
@@ -71,7 +63,6 @@ class ParseResult:
 
     schema: Schema | None
     diagnostics: tuple[ParseDiagnostic, ...]
-    provenance: str = "<stdin>"
 
     @property
     def ok(self) -> bool:
@@ -157,14 +148,14 @@ class _LineParser:
             self.take()
 
 
-def parse_schema(source: SourceDocument | str) -> ParseResult:
+def parse_schema(text: str) -> ParseResult:
     """Parse a schema document; diagnostics cover syntax and validation.
 
     Returns a ParseResult whose schema is None when any error was found.
     Warnings (for example a primary key that is not a superkey) leave the
-    schema usable.
+    schema usable. Diagnostics do not know where the text came from:
+    ``ParseDiagnostic.render(provenance)`` names the source.
     """
-    doc = SourceDocument(source) if isinstance(source, str) else source
     diagnostics: list[ParseDiagnostic] = []
     schema_name: str | None = None
     schema_anchor = (1, 1)
@@ -173,7 +164,7 @@ def parse_schema(source: SourceDocument | str) -> ParseResult:
     anchors: dict[tuple[str, str], tuple[int, int]] = {}
 
     # One leading byte-order mark, as some editors write, is not schema text.
-    for line_no, raw in enumerate(doc.text.removeprefix("\ufeff").splitlines(), 1):
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
         content = raw.split("#", 1)[0]
         if not content.strip():
             continue
@@ -253,7 +244,7 @@ def parse_schema(source: SourceDocument | str) -> ParseResult:
         )
 
     if any(d.severity is Severity.ERROR for d in diagnostics):
-        return ParseResult(None, tuple(diagnostics), doc.provenance)
+        return ParseResult(None, tuple(diagnostics))
 
     schema = Schema(schema_name or "", tuple(relations), tuple(fds))
     report = validate_schema(schema)
@@ -272,9 +263,7 @@ def parse_schema(source: SourceDocument | str) -> ParseResult:
                 code=violation.code,
             )
         )
-    return ParseResult(
-        schema if report.ok else None, tuple(diagnostics), doc.provenance
-    )
+    return ParseResult(schema if report.ok else None, tuple(diagnostics))
 
 
 def emit_schema(schema: Schema) -> str:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import CapacityError, ForeignAttributeError
@@ -109,18 +108,6 @@ def candidate_keys(
             if not any(known <= superkey for known in keys):
                 keys.append(minimize(superkey))
     return tuple(sorted(keys, key=lambda key: (len(key), sorted(key))))
-
-
-def prime_attributes(
-    relation: RelationSchema,
-    fds: Sequence[FunctionalDependency],
-    *,
-    cap: int = DEFAULT_KEY_CAP,
-) -> frozenset[str]:
-    """Union of every candidate key."""
-    return frozenset(
-        itertools.chain.from_iterable(candidate_keys(relation, fds, cap=cap))
-    )
 
 
 def project_fds(

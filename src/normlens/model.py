@@ -17,7 +17,6 @@ from enum import Enum, IntEnum
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import UnknownRelationError
 from .fd import is_superkey, project_fds
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -150,12 +149,6 @@ class Schema:
         object.__setattr__(self, "relations", tuple(self.relations))
         object.__setattr__(self, "fds", tuple(self.fds))
 
-    def relation(self, name: str) -> RelationSchema:
-        for rel in self.relations:
-            if rel.name == name:
-                return rel
-        raise UnknownRelationError(f"no relation named {name!r} in schema {self.name!r}")
-
     def with_relations(self, relations: Iterable[RelationSchema]) -> Schema:
         """This schema's name and FDs over other relations, sharing the FD index."""
         derived = Schema(self.name, tuple(relations), self.fds)
@@ -177,14 +170,6 @@ class Schema:
         attrs = relation.attribute_set
         anchored = itertools.chain.from_iterable(index.get(a, ()) for a in (None, *attrs))
         return project_fds([singletons[position] for position in sorted(anchored)], attrs)
-
-    @property
-    def attribute_universe(self) -> frozenset[str]:
-        """Attributes appearing in at least one relation."""
-        out: frozenset[str] = frozenset()
-        for rel in self.relations:
-            out |= rel.attribute_set
-        return out
 
 
 def _letter_suffixes() -> Iterator[str]:
@@ -318,7 +303,7 @@ def validate_schema(schema: Schema) -> ValidationReport:
                 relation=rel.name,
             )
 
-    universe = schema.attribute_universe
+    universe = frozenset().union(*(rel.attribute_set for rel in schema.relations))
     seen_labels: set[str] = set()
     for fd in schema.fds:
         if not IDENTIFIER.match(fd.label or ""):

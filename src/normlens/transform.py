@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .classify import ClassificationMode, partition_preventing
 from .completeness import SchemaNC, relation_nc, schema_nc
-from .errors import AlreadyBCNFError, DecompositionError
+from .errors import AlreadyBCNFError, DecompositionError, UnknownRelationError
 from .fd import DEFAULT_KEY_CAP
 from .model import NormalForm, RelationSchema, Schema, normalize_fds
 
@@ -70,16 +70,26 @@ def decompose_step(
     made fresh with a ``_2``, ``_3``, ... suffix while a relation of the
     schema already has it; the reduced relation keeps the source name by
     default; ``rename`` maps default names to wanted ones. Raises
-    AlreadyBCNFError when the relation has no preventing dependency,
-    DecompositionError when a moved dependent belongs to the source primary
-    key (the step would break the key) or when renaming collides with an
-    existing relation, all before any scoring (so before strict mode's
+    UnknownRelationError when no relation has the name, AlreadyBCNFError when
+    the relation has no preventing dependency, DecompositionError when several
+    relations have the name, when a moved dependent belongs to the source
+    primary key (the step would break the key) or when renaming collides with
+    an existing relation, all before any scoring (so before strict mode's
     CapacityError). ``nc_before`` is ``schema_nc(schema, mode)`` if the caller
     has it, else it is computed; only the two changed relations are scored.
     """
     rename = rename or {}
-    source = schema.relation(relation_name)
-    position = schema.relations.index(source)
+    matches = [i for i, rel in enumerate(schema.relations) if rel.name == relation_name]
+    if not matches:
+        raise UnknownRelationError(
+            f"no relation named {relation_name!r} in schema {schema.name!r}"
+        )
+    if len(matches) > 1:
+        raise DecompositionError(
+            f"cannot decompose {relation_name!r}: {len(matches)} relations have that name"
+        )
+    position = matches[0]
+    source = schema.relations[position]
     partition = (
         nc_before.per_relation[position].partition
         if nc_before is not None

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from normlens import Schema, SourceDocument, TransformStep, decompose_step, parse_schema
+from normlens import Schema, TransformStep, decompose_step, parse_schema
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CASE_STUDY_PATH = REPO_ROOT / "case_study.nls"
@@ -22,9 +22,7 @@ CASE_STUDY_RENAMES = {
 
 @pytest.fixture(scope="session")
 def case_study() -> Schema:
-    result = parse_schema(
-        SourceDocument(CASE_STUDY_PATH.read_text(encoding="utf-8"), str(CASE_STUDY_PATH))
-    )
+    result = parse_schema(CASE_STUDY_PATH.read_text(encoding="utf-8"))
     assert result.ok, result.diagnostics
     assert result.schema is not None
     return result.schema

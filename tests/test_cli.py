@@ -350,3 +350,31 @@ def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, via):
     with_mark = analyze("\ufeff" + text)
     assert with_mark == analyze(text)
     assert with_mark[0] == 0
+
+
+# -S keeps site from running .pth files, which import installed packages.
+_IMPORTS_OUTSIDE_STDLIB = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import normlens.cli, normlens.__main__
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"normlens"}))
+"""
+
+
+def test_the_cli_imports_nothing_outside_the_standard_library():
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORTS_OUTSIDE_STDLIB, str(REPO_ROOT / "src")],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_every_exported_name_resolves_once():
+    exported = normlens.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(normlens, name)] == []

@@ -11,7 +11,6 @@ from normlens import (
     RelationSchema,
     Schema,
     Severity,
-    SourceDocument,
     emit_report,
     emit_schema,
     parse_schema,
@@ -255,9 +254,10 @@ def test_a_leading_byte_order_mark_is_not_schema_text():
 
 
 def test_source_document_provenance_in_rendering():
-    result = parse_schema(SourceDocument("schema s", "demo.nls"))
-    rendered = result.diagnostics[0].render(result.provenance)
-    assert rendered.startswith("demo.nls:1:1: error:")
+    # The parse knows only the text; the caller names its source when rendering.
+    diagnostic = parse_schema("schema s").diagnostics[0]
+    assert diagnostic.render("demo.nls") == "demo.nls:1:1: error: schema declares no relations"
+    assert diagnostic.render().startswith("<input>:1:1: error:")
 
 
 # --- report rendering --------------------------------------------------------

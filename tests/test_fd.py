@@ -18,7 +18,6 @@ from normlens import (
     closure,
     is_superkey,
     normalize_fds,
-    prime_attributes,
     project_fds,
 )
 
@@ -160,18 +159,6 @@ def test_candidate_keys_ignore_dependencies_through_foreign_attributes():
     assert candidate_keys(rel, (fd("F1", "a", "z"), fd("F2", "z", "b"))) == (
         frozenset({"a", "b"}),
     )
-
-
-def test_prime_attributes(case_relation, case_fds):
-    assert prime_attributes(case_relation, case_fds) == frozenset(
-        {"propertyNo", "iDate", "carReg", "iTime", "staffNo"}
-    )
-    rel = RelationSchema("R", ("a", "b"), ("a",))
-    assert prime_attributes(rel, ()) == frozenset({"a", "b"})
-    property_rel = RelationSchema("Property", ("propertyNo", "pAddress"), ("propertyNo",))
-    assert prime_attributes(
-        property_rel, (fd("FD6", "propertyNo", "pAddress"),)
-    ) == frozenset({"propertyNo"})
 
 
 def test_project_onto_staff_inspection(case_fds):

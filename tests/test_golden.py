@@ -1,12 +1,16 @@
-"""Structured reports stay byte-identical to committed golden outputs.
+"""Command output stays byte-identical to committed golden outputs.
 
-The golden files were produced by the implementation that rescored the whole
-schema on every decomposition step; the incremental rescoring must not change
-a single byte of what ``analyze`` and ``normalize`` print.
+The structured ``analyze`` and ``normalize`` files were produced by the
+implementation that rescored the whole schema on every decomposition step;
+the incremental rescoring must not change a single byte of what they print.
+The command table pins the outputs no structured file covers: ``keys`` and
+``check`` in both formats, text ``analyze`` and ``normalize`` (with and
+without ``--trace``), and ``check`` on invalid schemas read from stdin.
 """
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import pytest
@@ -31,3 +35,46 @@ def test_structured_output_matches_golden(capsys, source, command, mode):
     assert code == 0, captured.err
     golden = GOLDEN / f"{source}.{command}.{mode}.json"
     assert captured.out.encode("utf-8") == golden.read_bytes()
+
+
+# Golden name -> (input, arguments, exit code). Valid inputs are read
+# from their file and print nothing on stderr; the invalid ones are read from
+# stdin, so their diagnostics name "<stdin>", and their stderr is <name>.err.
+COMMAND_CASES = {
+    **{
+        f"{source}.{command}.{format}": (source, [command, "--format", format], 0)
+        for source in INPUTS
+        for command in ("keys", "check")
+        for format in ("text", "structured")
+    },
+    **{
+        f"{source}.{label}.text": (source, args, 0)
+        for source in INPUTS
+        for label, args in (
+            ("analyze", ["analyze"]),
+            ("normalize", ["normalize"]),
+            ("normalize-trace", ["normalize", "--trace"]),
+        )
+    },
+    **{
+        f"{source}.check.{format}": (source, ["check", "--format", format], code)
+        for source, code in (("invalid", 1), ("invalid_semantics", 2))
+        for format in ("text", "structured")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_CASES))
+def test_command_output_matches_golden(capsys, monkeypatch, name):
+    source, args, exit_code = COMMAND_CASES[name]
+    if source in INPUTS:
+        code = main([*args, str(INPUTS[source])])
+    else:
+        data = (GOLDEN / f"{source}.nls").read_bytes()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code = main([*args, "-"])
+    captured = capsys.readouterr()
+    assert code == exit_code, captured.err
+    assert captured.out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+    expected_err = (GOLDEN / f"{name}.err").read_bytes() if code else b""
+    assert captured.err.encode("utf-8") == expected_err

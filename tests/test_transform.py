@@ -109,6 +109,22 @@ def test_unknown_relation_error(case_study):
         decompose_step(case_study, "Nowhere")
 
 
+def test_a_name_shared_by_two_relations_is_a_decomposition_error():
+    # The first R is BCNF and the second is not; no step may pick either by name.
+    schema = Schema(
+        "s",
+        (RelationSchema("R", ("c", "d"), ("c",)), RelationSchema("R", ("a", "b", "c"), ("a",))),
+        (fd("F1", "b", "c"), fd("F2", "a", "b")),
+    )
+    with pytest.raises(DecompositionError, match="'R'"):
+        normalize_to_bcnf(schema)
+    with pytest.raises(DecompositionError, match="'R'"):
+        decompose_step(schema, "R")
+    with pytest.raises(UnknownRelationError) as missing:
+        decompose_step(schema, "Nowhere")
+    assert str(missing.value) == "no relation named 'Nowhere' in schema 's'"
+
+
 def test_decompose_bcnf_relation_is_rejected():
     schema = Schema(
         "s", (RelationSchema("R", ("a", "b"), ("a",)),), (fd("F1", "a", "b"),)
