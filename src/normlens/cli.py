@@ -196,7 +196,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             out = _keys_report(result.schema, args.key_cap, args.format)
     except CapacityError as exc:
-        print(f"normlens: {exc}", file=sys.stderr)
+        needs = "" if args.command == "keys" else f" (--mode {args.mode} needs the key search)"
+        print(f"normlens: {exc}{needs}", file=sys.stderr)
         return EXIT_CAPACITY
     except DecompositionError as exc:
         print(f"normlens: {exc}", file=sys.stderr)

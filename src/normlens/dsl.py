@@ -153,7 +153,9 @@ def parse_schema(text: str) -> ParseResult:
 
     Returns a ParseResult whose schema is None when any error was found.
     Warnings (for example a primary key that is not a superkey) leave the
-    schema usable. Diagnostics do not know where the text came from:
+    schema usable. A validation finding points at the declaration that is its
+    ``Violation.subject``, even when a name repeats (the schema line when it
+    has none). Diagnostics do not know where the text came from:
     ``ParseDiagnostic.render(provenance)`` names the source.
     """
     diagnostics: list[ParseDiagnostic] = []
@@ -161,7 +163,8 @@ def parse_schema(text: str) -> ParseResult:
     schema_anchor = (1, 1)
     relations: list[RelationSchema] = []
     fds: list[FunctionalDependency] = []
-    anchors: dict[tuple[str, str], tuple[int, int]] = {}
+    # Keyed by identity: equal declarations on two lines keep two anchors.
+    anchors: dict[int, tuple[int, int]] = {}
 
     # One leading byte-order mark, as some editors write, is not schema text.
     for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
@@ -209,7 +212,7 @@ def parse_schema(text: str) -> ParseResult:
                 lp.expect(")")
                 lp.expect_end("relation declaration")
                 relations.append(RelationSchema(name, tuple(attrs), tuple(key)))
-                anchors[("relation", name)] = (line_no, name_col)
+                anchors[id(relations[-1])] = (line_no, name_col)
             elif head == "fd":
                 label_col = lp.next_col()
                 label = lp.expect_ident("fd label")
@@ -221,7 +224,7 @@ def parse_schema(text: str) -> ParseResult:
                 fds.append(
                     FunctionalDependency(label, tuple(determinant), tuple(dependents))
                 )
-                anchors[("fd", label)] = (line_no, label_col)
+                anchors[id(fds[-1])] = (line_no, label_col)
             else:
                 lp.error(
                     f"expected 'schema', 'relation' or 'fd', got {head!r}", head_col
@@ -235,12 +238,7 @@ def parse_schema(text: str) -> ParseResult:
         )
     elif not relations:
         diagnostics.append(
-            ParseDiagnostic(
-                schema_anchor[0],
-                schema_anchor[1],
-                Severity.ERROR,
-                "schema declares no relations",
-            )
+            ParseDiagnostic(*schema_anchor, Severity.ERROR, "schema declares no relations")
         )
 
     if any(d.severity is Severity.ERROR for d in diagnostics):
@@ -248,21 +246,9 @@ def parse_schema(text: str) -> ParseResult:
 
     schema = Schema(schema_name or "", tuple(relations), tuple(fds))
     report = validate_schema(schema)
-    for violation in report.violations:
-        anchor = schema_anchor
-        if violation.fd_label is not None:
-            anchor = anchors.get(("fd", violation.fd_label), anchor)
-        elif violation.relation is not None:
-            anchor = anchors.get(("relation", violation.relation), anchor)
-        diagnostics.append(
-            ParseDiagnostic(
-                anchor[0],
-                anchor[1],
-                violation.severity,
-                violation.message,
-                code=violation.code,
-            )
-        )
+    for v in report.violations:
+        line, column = anchors.get(id(v.subject), schema_anchor)
+        diagnostics.append(ParseDiagnostic(line, column, v.severity, v.message, v.code))
     return ParseResult(schema if report.ok else None, tuple(diagnostics))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -208,15 +208,23 @@ class Severity(Enum):
     WARNING = "warning"
 
 
+_Subject = RelationSchema | FunctionalDependency | None
+
+
 @dataclass(frozen=True)
 class Violation:
-    """One validation finding; ``relation``/``fd_label`` anchor it when known."""
+    """One validation finding; ``relation``/``fd_label`` anchor it when known.
+
+    ``subject`` is the relation or FD object it is about (``None``: the schema
+    name); equality, hashing and repr ignore it, so findings compare by value.
+    """
 
     code: str
     message: str
     severity: Severity = Severity.ERROR
     relation: str | None = None
     fd_label: str | None = None
+    subject: _Subject = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -248,13 +256,18 @@ def validate_schema(schema: Schema) -> ValidationReport:
     UNKNOWN_FD_ATTRIBUTE. One warning code: PRIMARY_KEY_NOT_SUPERKEY
     (classification stays well defined, the key is just not doing its job).
 
-    The violation set is order-independent: permuting relations or FDs
-    yields the same findings.
+    Each finding's ``subject`` is the declaration object it is about, so
+    declarations that share a name stay apart. The violation set is
+    order-independent: permuting relations or FDs yields the same findings.
     """
     out: list[Violation] = []
 
-    def err(code: str, message: str, **anchor: str) -> None:
-        out.append(Violation(code, message, Severity.ERROR, **anchor))
+    def err(
+        code: str, message: str, subject: _Subject = None, severity: Severity = Severity.ERROR
+    ) -> None:
+        relation = subject.name if isinstance(subject, RelationSchema) else None
+        fd_label = subject.label if isinstance(subject, FunctionalDependency) else None
+        out.append(Violation(code, message, severity, relation, fd_label, subject))
 
     if not IDENTIFIER.match(schema.name or ""):
         err("BAD_SCHEMA_NAME", f"schema name {schema.name!r} is not an identifier")
@@ -262,94 +275,80 @@ def validate_schema(schema: Schema) -> ValidationReport:
     seen_relations: set[str] = set()
     for rel in schema.relations:
         if not IDENTIFIER.match(rel.name or ""):
-            err(
-                "BAD_RELATION_NAME",
-                f"relation name {rel.name!r} is not an identifier",
-                relation=rel.name,
-            )
+            err("BAD_RELATION_NAME", f"relation name {rel.name!r} is not an identifier", rel)
         if rel.name in seen_relations:
-            err(
-                "DUPLICATE_RELATION_NAME",
-                f"relation name {rel.name!r} declared more than once",
-                relation=rel.name,
-            )
+            err("DUPLICATE_RELATION_NAME", f"relation name {rel.name!r} declared more than once", rel)
         seen_relations.add(rel.name)
 
         if not rel.attributes:
-            err("EMPTY_RELATION", f"relation {rel.name!r} has no attributes", relation=rel.name)
+            err("EMPTY_RELATION", f"relation {rel.name!r} has no attributes", rel)
         seen_attrs: set[str] = set()
         for spec in rel.attributes:
             if not IDENTIFIER.match(spec.name or ""):
                 err(
                     "BAD_ATTRIBUTE_NAME",
                     f"attribute name {spec.name!r} in relation {rel.name!r} is not an identifier",
-                    relation=rel.name,
+                    rel,
                 )
             if spec.name in seen_attrs:
                 err(
                     "DUPLICATE_ATTRIBUTE",
                     f"attribute {spec.name!r} appears twice in relation {rel.name!r}",
-                    relation=rel.name,
+                    rel,
                 )
             seen_attrs.add(spec.name)
 
         if not rel.primary_key:
-            err("EMPTY_PRIMARY_KEY", f"relation {rel.name!r} has an empty primary key", relation=rel.name)
+            err("EMPTY_PRIMARY_KEY", f"relation {rel.name!r} has an empty primary key", rel)
         missing_pk = sorted(rel.primary_key_set - rel.attribute_set)
         if missing_pk:
             err(
                 "PRIMARY_KEY_NOT_IN_RELATION",
                 f"primary key attributes {missing_pk} are not attributes of relation {rel.name!r}",
-                relation=rel.name,
+                rel,
             )
 
     universe = frozenset().union(*(rel.attribute_set for rel in schema.relations))
     seen_labels: set[str] = set()
     for fd in schema.fds:
         if not IDENTIFIER.match(fd.label or ""):
-            err("BAD_FD_LABEL", f"fd label {fd.label!r} is not an identifier", fd_label=fd.label)
+            err("BAD_FD_LABEL", f"fd label {fd.label!r} is not an identifier", fd)
         if fd.label in seen_labels:
-            err("DUPLICATE_FD_LABEL", f"fd label {fd.label!r} used more than once", fd_label=fd.label)
+            err("DUPLICATE_FD_LABEL", f"fd label {fd.label!r} used more than once", fd)
         seen_labels.add(fd.label)
 
         if not fd.determinant:
-            err("EMPTY_DETERMINANT", f"fd {fd.label!r} has an empty determinant", fd_label=fd.label)
+            err("EMPTY_DETERMINANT", f"fd {fd.label!r} has an empty determinant", fd)
         if not fd.dependents:
-            err("EMPTY_DEPENDENTS", f"fd {fd.label!r} has an empty dependent list", fd_label=fd.label)
+            err("EMPTY_DEPENDENTS", f"fd {fd.label!r} has an empty dependent list", fd)
         for name in (*fd.determinant, *fd.dependents):
             if not IDENTIFIER.match(name or ""):
                 err(
                     "BAD_ATTRIBUTE_NAME",
                     f"attribute name {name!r} in fd {fd.label!r} is not an identifier",
-                    fd_label=fd.label,
+                    fd,
                 )
         overlap = sorted(fd.determinant_set & fd.dependents_set)
         if overlap:
-            err(
-                "TRIVIAL_FD",
-                f"fd {fd.label!r} is trivial: {overlap} appear on both sides",
-                fd_label=fd.label,
-            )
+            err("TRIVIAL_FD", f"fd {fd.label!r} is trivial: {overlap} appear on both sides", fd)
         unknown = sorted(fd.attributes - universe)
         if unknown:
             err(
                 "UNKNOWN_FD_ATTRIBUTE",
                 f"fd {fd.label!r} mentions {unknown}, which belong to no relation",
-                fd_label=fd.label,
+                fd,
             )
 
     if not out:
         # Structure is sound, so the closure machinery is safe to run.
         for rel in schema.relations:
             if not is_superkey(rel.primary_key_set, rel, schema.projected_fds(rel)):
-                out.append(
-                    Violation(
-                        "PRIMARY_KEY_NOT_SUPERKEY",
-                        f"primary key ({', '.join(rel.primary_key)}) of relation"
-                        f" {rel.name!r} does not determine every attribute",
-                        Severity.WARNING,
-                        relation=rel.name,
-                    )
+                err(
+                    "PRIMARY_KEY_NOT_SUPERKEY",
+                    f"primary key ({', '.join(rel.primary_key)}) of relation"
+                    f" {rel.name!r} does not determine every attribute",
+                    rel,
+                    Severity.WARNING,
                 )
 
     return ValidationReport(tuple(out))

@@ -140,6 +140,18 @@ def test_strict_analyze_hits_the_key_cap_too(capsys):
     )
     assert code == 3
     assert "capped at 3" in err
+    # Only strict mode searches for keys, so the line says which mode needed it.
+    assert err == (
+        "normlens: relation 'StaffPropertyInspection' has 8 attributes;"
+        " candidate-key search is capped at 3 (--mode strict needs the key search)\n"
+    )
+
+
+def test_strict_normalize_names_the_mode_at_the_key_cap(capsys):
+    code, out, err = run(capsys, "normalize", FIXTURE, "--mode", "strict", "--key-cap", "3")
+    assert (code, out) == (3, "")
+    assert err.endswith("capped at 3 (--mode strict needs the key search)\n")
+    assert err.count("\n") == 1
 
 
 def test_check_with_syntax_error_exits_1(capsys, tmp_path):

@@ -246,6 +246,29 @@ def test_syntax_messages_and_columns(text, expected):
     assert [(d.line, d.column, d.severity.value, d.message) for d in diagnostics] == expected
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # A bad key in the first of two relations named R.
+        ("schema s\nrelation R(a) key(z)\nrelation R(b) key(b)",
+         [("PRIMARY_KEY_NOT_IN_RELATION", 2, 10), ("DUPLICATE_RELATION_NAME", 3, 10)]),
+        ("schema s\nrelation R(a, a) key(a)\nrelation R(b) key(b)",
+         [("DUPLICATE_ATTRIBUTE", 2, 10), ("DUPLICATE_RELATION_NAME", 3, 10)]),
+        ("schema s\nrelation R(a, b) key(a)\nfd F1: a -> a\nfd F1: a -> b",
+         [("TRIVIAL_FD", 3, 4), ("DUPLICATE_FD_LABEL", 4, 4)]),
+        # Equal declarations are equal dataclasses, yet each keeps its own line.
+        ("schema s\n" + "relation R(a) key(a)\n" * 3,
+         [("DUPLICATE_RELATION_NAME", 3, 10), ("DUPLICATE_RELATION_NAME", 4, 10)]),
+        ("schema s\nrelation R(a, b, c) key(a)\nfd F1: a -> b\nfd F1: a -> c\nfd F1: b -> c",
+         [("DUPLICATE_FD_LABEL", 4, 4), ("DUPLICATE_FD_LABEL", 5, 4)]),
+    ],
+    ids=["bad-key", "duplicate-attribute", "trivial-fd", "equal-relations", "label-thrice"],
+)
+def test_findings_about_repeated_names_point_at_their_own_declaration(text, expected):
+    diagnostics = parse_schema(text).diagnostics
+    assert [(d.code, d.line, d.column) for d in diagnostics] == expected
+
+
 def test_a_leading_byte_order_mark_is_not_schema_text():
     text = "schema s\nrelation R(a, b) key(a)\nfd F1: a -> b\n"
     result = parse_schema("\ufeff" + text)

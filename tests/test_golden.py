@@ -5,7 +5,9 @@ implementation that rescored the whole schema on every decomposition step;
 the incremental rescoring must not change a single byte of what they print.
 The command table pins the outputs no structured file covers: ``keys`` and
 ``check`` in both formats, text ``analyze`` and ``normalize`` (with and
-without ``--trace``), and ``check`` on invalid schemas read from stdin.
+without ``--trace``), and ``check`` on invalid schemas read from stdin,
+among them one whose findings about repeated names must each point at their
+own declaration.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ COMMAND_CASES = {
     },
     **{
         f"{source}.check.{format}": (source, ["check", "--format", format], code)
-        for source, code in (("invalid", 1), ("invalid_semantics", 2))
+        for source, code in (("invalid", 1), ("invalid_semantics", 2), ("repeated_names", 2))
         for format in ("text", "structured")
     },
 }

@@ -270,6 +270,30 @@ def test_primary_key_not_superkey_is_a_warning_only():
     assert [v.code for v in report.warnings] == ["PRIMARY_KEY_NOT_SUPERKEY"]
 
 
+def test_a_finding_carries_the_declaration_it_is_about():
+    first, second = RelationSchema("R", ("a",), ("z",)), RelationSchema("R", ("b",), ("b",))
+    trivial, repeated = fd("F1", "a", "a"), fd("F1", "a", "b")
+    report = validate_schema(Schema("s", (first, second), (trivial, repeated)))
+    # By identity: the same name (and for equal declarations, the same value) can repeat.
+    assert [(v.code, id(v.subject)) for v in report.violations] == [
+        ("PRIMARY_KEY_NOT_IN_RELATION", id(first)),
+        ("DUPLICATE_RELATION_NAME", id(second)),
+        ("TRIVIAL_FD", id(trivial)),
+        ("DUPLICATE_FD_LABEL", id(repeated)),
+    ]
+    bad_name = validate_schema(Schema("bad name", (RelationSchema("R", ("a",), ("a",)),)))
+    assert [v.subject for v in bad_name.violations] == [None]
+
+
+def test_the_subject_is_not_part_of_a_findings_value():
+    one, other = RelationSchema("R", ("a",), ("a",)), RelationSchema("R", ("b",), ("b",))
+    left = Violation("EMPTY_RELATION", "m", Severity.ERROR, "R", None, one)
+    right = Violation("EMPTY_RELATION", "m", Severity.ERROR, "R", None, other)
+    assert left == right
+    assert hash(left) == hash(right)
+    assert repr(left) == repr(right) == repr(Violation("EMPTY_RELATION", "m", relation="R"))
+
+
 def test_validation_is_order_independent(case_study):
     broken = Schema(
         "s",
