@@ -12,7 +12,6 @@ from __future__ import annotations
 from .classify import (
     ClassificationMode,
     FDPartition,
-    classify_nf,
     partition_preventing,
 )
 from .completeness import (
@@ -91,7 +90,6 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "candidate_keys",
-    "classify_nf",
     "closure",
     "decompose_step",
     "emit_report",

@@ -87,19 +87,6 @@ def partition_preventing(
     )
 
 
-def classify_nf(
-    relation: RelationSchema,
-    fds: Sequence[FunctionalDependency],
-    mode: ClassificationMode = ClassificationMode.PRIMARY,
-    *,
-    key_cap: int = DEFAULT_KEY_CAP,
-) -> NormalForm:
-    """Highest normal form of ``relation``; ``fds`` as for ``partition_preventing``."""
-    return classify_partition(
-        relation, partition_preventing(relation, fds), mode, key_cap=key_cap
-    )
-
-
 def classify_partition(
     relation: RelationSchema,
     partition: FDPartition,

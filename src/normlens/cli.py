@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from .classify import ClassificationMode
@@ -108,7 +107,8 @@ def _read_input(target: str) -> str:
             raise OSError("stdin is closed")
         data = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
-        data = Path(target).read_bytes()
+        with open(target, "rb") as file:
+            data = file.read()
     try:
         return data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:

@@ -167,7 +167,9 @@ def parse_schema(text: str) -> ParseResult:
     anchors: dict[int, tuple[int, int]] = {}
 
     # One leading byte-order mark, as some editors write, is not schema text.
-    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
+    # Only \n, \r\n and \r end a line, as for grep -n; str.splitlines() breaks at \f too.
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, 1):
         content = raw.split("#", 1)[0]
         if not content.strip():
             continue
@@ -376,19 +378,6 @@ def _text_schema_nc(nc: SchemaNC) -> list[str]:
     return lines
 
 
-def _text_partition(partition: FDPartition) -> list[str]:
-    completeness = ", ".join(sorted(partition.completeness_attributes)) or "(none)"
-    prevented = ", ".join(sorted(partition.preventing_attributes)) or "(none)"
-    return [
-        f"relation {partition.relation_name}",
-        f"  preventing FDs ({len(partition.preventing)}): {_labels(partition.preventing)}",
-        f"  non-preventing FDs ({len(partition.non_preventing)}): {_labels(partition.non_preventing)}",
-        f"  completeness attributes ({partition.completeness_count}): {completeness}",
-        f"  preventing attributes ({partition.preventing_count}): {prevented}",
-        f"  total attributes: {partition.total_attributes}",
-    ]
-
-
 def _text_trace(trace: TransformTrace, dsl_snapshots: bool) -> list[str]:
     suffix = " [strict mode]" if trace.initial_nc.mode is ClassificationMode.STRICT else ""
     lines = [
@@ -446,12 +435,12 @@ def _trace_dict(trace: TransformTrace) -> dict[str, Any]:
 
 
 def emit_report(
-    report: SchemaNC | TransformTrace | FDPartition,
+    report: SchemaNC | TransformTrace,
     format: str = "text",
     *,
     dsl_snapshots: bool = False,
 ) -> str:
-    """Render a report as human text or as a byte-stable structured JSON tree.
+    """Render a schema score, partitions inside, or a trace as text or stable JSON.
 
     ``dsl_snapshots`` adds the schema after every step, in DSL form, to the
     text rendering of a trace (the structured form always embeds schemas).
@@ -463,8 +452,6 @@ def emit_report(
     elif isinstance(report, TransformTrace):
         kind, as_dict = "transform_trace", _trace_dict
         as_text = functools.partial(_text_trace, dsl_snapshots=dsl_snapshots)
-    elif isinstance(report, FDPartition):
-        kind, as_dict, as_text = "fd_partition", _partition_dict, _text_partition
     else:
         raise TypeError(f"cannot render {type(report).__name__} as a report")
     if format == "structured":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import string
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -176,7 +175,7 @@ def _letter_suffixes() -> Iterator[str]:
     # a, b, ..., z, aa, ab, ... (spreadsheet style)
     width = 1
     while True:
-        for combo in itertools.product(string.ascii_lowercase, repeat=width):
+        for combo in itertools.product("abcdefghijklmnopqrstuvwxyz", repeat=width):
             yield "".join(combo)
         width += 1
 

@@ -76,8 +76,12 @@ def decompose_step(
     primary key (the step would break the key) or when renaming collides with
     an existing relation, all before any scoring (so before strict mode's
     CapacityError). ``nc_before`` is ``schema_nc(schema, mode)`` if the caller
-    has it, else it is computed; only the two changed relations are scored.
+    has it (ValueError if its mode or relation names differ), else it is
+    computed; only the two changed relations are scored.
     """
+    scored = nc_before and (nc_before.mode, [r.relation_name for r in nc_before.per_relation])
+    if scored and scored != (mode, [rel.name for rel in schema.relations]):
+        raise ValueError(f"nc_before is not the {mode.value}-mode score of schema {schema.name!r}")
     rename = rename or {}
     matches = [i for i, rel in enumerate(schema.relations) if rel.name == relation_name]
     if not matches:

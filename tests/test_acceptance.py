@@ -19,7 +19,6 @@ from normlens import (
     DecompositionError,
     NormalForm,
     candidate_keys,
-    classify_nf,
     closure,
     emit_report,
     emit_schema,
@@ -110,7 +109,7 @@ def test_criterion_4_normalize_reproduces_expected_headings(case_study):
     assert len(trace.steps[1].reduced_relation.attributes) == 6
     # Terminates with everything in BCNF.
     for rel in trace.final.relations:
-        assert classify_nf(rel, trace.final.fds) is NormalForm.BCNF
+        assert relation_nc(rel, trace.final.fds).normal_form is NormalForm.BCNF
 
 
 def test_criterion_5_membership_endpoints_exhaustively():

@@ -8,8 +8,8 @@ from normlens import (
     ClassificationMode,
     NormalForm,
     RelationSchema,
-    classify_nf,
     partition_preventing,
+    relation_nc,
 )
 
 from corpus import build_corpus, fd
@@ -31,42 +31,42 @@ def relations(case_study, step1, step2):
 
 def test_classification_ladder_on_case_study(relations, case_study):
     fds = case_study.fds
-    assert classify_nf(relations["StaffPropertyInspection"], fds) is NormalForm.FIRST
-    assert classify_nf(relations["StaffInspection"], fds) is NormalForm.SECOND
-    assert classify_nf(relations["Inspection"], fds) is NormalForm.THIRD
-    assert classify_nf(relations["Property"], fds) is NormalForm.BCNF
-    assert classify_nf(relations["Staff"], fds) is NormalForm.BCNF
+    assert relation_nc(relations["StaffPropertyInspection"], fds).normal_form is NormalForm.FIRST
+    assert relation_nc(relations["StaffInspection"], fds).normal_form is NormalForm.SECOND
+    assert relation_nc(relations["Inspection"], fds).normal_form is NormalForm.THIRD
+    assert relation_nc(relations["Property"], fds).normal_form is NormalForm.BCNF
+    assert relation_nc(relations["Staff"], fds).normal_form is NormalForm.BCNF
 
 
 def test_property_is_bcnf_in_both_modes(relations, case_study):
     for mode in (PRIMARY, STRICT):
-        assert classify_nf(relations["Property"], case_study.fds, mode) is NormalForm.BCNF
+        assert relation_nc(relations["Property"], case_study.fds, mode).normal_form is NormalForm.BCNF
 
 
 def test_strict_mode_demotes_staff_inspection(relations, case_study):
     # staffNo is a proper subset of candidate key {staffNo, iDate, iTime} and
     # determines the non-prime sName, so the all-keys reading blocks 2NF.
     rel = relations["StaffInspection"]
-    assert classify_nf(rel, case_study.fds, PRIMARY) is NormalForm.SECOND
-    assert classify_nf(rel, case_study.fds, STRICT) is NormalForm.FIRST
+    assert relation_nc(rel, case_study.fds, PRIMARY).normal_form is NormalForm.SECOND
+    assert relation_nc(rel, case_study.fds, STRICT).normal_form is NormalForm.FIRST
 
 
 def test_strict_mode_agrees_on_inspection(relations, case_study):
     rel = relations["Inspection"]
-    assert classify_nf(rel, case_study.fds, STRICT) is NormalForm.THIRD
+    assert relation_nc(rel, case_study.fds, STRICT).normal_form is NormalForm.THIRD
 
 
 def test_non_atomic_attribute_means_unnormalized():
     rel = RelationSchema(
         "R", (AttributeSpec("a"), AttributeSpec("phones", atomic=False)), ("a",)
     )
-    assert classify_nf(rel, (fd("F1", "a", "phones"),)) is NormalForm.UNF
-    assert classify_nf(rel, (), STRICT) is NormalForm.UNF
+    assert relation_nc(rel, (fd("F1", "a", "phones"),)).normal_form is NormalForm.UNF
+    assert relation_nc(rel, (), STRICT).normal_form is NormalForm.UNF
 
 
 def test_relation_without_projected_fds_is_bcnf():
     rel = RelationSchema("R", ("a", "b"), ("a", "b"))
-    assert classify_nf(rel, ()) is NormalForm.BCNF
+    assert relation_nc(rel, ()).normal_form is NormalForm.BCNF
     part = partition_preventing(rel, ())
     assert part.preventing == () and part.non_preventing == ()
 
@@ -133,9 +133,9 @@ def test_partition_preserves_schema_fd_order(case_study):
 def test_primary_mode_never_enumerates_keys():
     wide = RelationSchema("W", tuple(f"a{i}" for i in range(25)), ("a0",))
     fds = (fd("F1", "a0", " ".join(f"a{i}" for i in range(1, 25))),)
-    assert classify_nf(wide, fds, PRIMARY) is NormalForm.BCNF
+    assert relation_nc(wide, fds, PRIMARY).normal_form is NormalForm.BCNF
     with pytest.raises(CapacityError):
-        classify_nf(wide, fds, STRICT)
+        relation_nc(wide, fds, STRICT).normal_form
 
 
 def test_bcnf_iff_no_preventing_dependency():
@@ -143,6 +143,6 @@ def test_bcnf_iff_no_preventing_dependency():
     # key; the corpus generator guarantees both.
     for schema, _keys in build_corpus(count=120, seed=3):
         rel = schema.relations[0]
-        is_bcnf = classify_nf(rel, schema.fds) is NormalForm.BCNF
+        is_bcnf = relation_nc(rel, schema.fds).normal_form is NormalForm.BCNF
         no_preventing = not partition_preventing(rel, schema.fds).preventing
         assert is_bcnf == no_preventing

@@ -5,9 +5,10 @@ implementation that rescored the whole schema on every decomposition step;
 the incremental rescoring must not change a single byte of what they print.
 The command table pins the outputs no structured file covers: ``keys`` and
 ``check`` in both formats, text ``analyze`` and ``normalize`` (with and
-without ``--trace``), and ``check`` on invalid schemas read from stdin,
+without ``--trace``), ``check`` on invalid schemas read from stdin,
 among them one whose findings about repeated names must each point at their
-own declaration.
+own declaration, and ``analyze`` and ``normalize`` on an unnormalized
+relation (``UNF (N=0)``, NC ``1/6``) that decomposition cannot raise.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ def test_structured_output_matches_golden(capsys, source, command, mode):
     assert captured.out.encode("utf-8") == golden.read_bytes()
 
 
-# Golden name -> (input, arguments, exit code). Valid inputs are read
-# from their file and print nothing on stderr; the invalid ones are read from
-# stdin, so their diagnostics name "<stdin>", and their stderr is <name>.err.
+# Golden name -> (input, arguments, exit code). The inputs in INPUTS are read
+# from their file and print nothing on stderr; the others are read from stdin,
+# so their diagnostics name "<stdin>", and their stderr is <name>.err.
 COMMAND_CASES = {
     **{
         f"{source}.{command}.{format}": (source, [command, "--format", format], 0)
@@ -63,6 +64,11 @@ COMMAND_CASES = {
         for source, code in (("invalid", 1), ("invalid_semantics", 2), ("repeated_names", 2))
         for format in ("text", "structured")
     },
+    **{
+        f"unnormalized.analyze.{format}": ("unnormalized", ["analyze", "--format", format], 0)
+        for format in ("text", "structured")
+    },
+    "unnormalized.normalize.text": ("unnormalized", ["normalize"], 2),
 }
 
 
@@ -78,5 +84,5 @@ def test_command_output_matches_golden(capsys, monkeypatch, name):
     captured = capsys.readouterr()
     assert code == exit_code, captured.err
     assert captured.out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
-    expected_err = (GOLDEN / f"{name}.err").read_bytes() if code else b""
+    expected_err = b"" if source in INPUTS else (GOLDEN / f"{name}.err").read_bytes()
     assert captured.err.encode("utf-8") == expected_err

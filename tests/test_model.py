@@ -14,7 +14,6 @@ from normlens import (
     Severity,
     Violation,
     candidate_keys,
-    classify_nf,
     normalize_fds,
     parse_schema,
     emit_schema,
@@ -340,7 +339,7 @@ def test_validated_schema_never_fails_downstream():
     for schema, _keys in build_corpus(count=80, seed=11):
         assert validate_schema(schema).ok
         for rel in schema.relations:
-            classify_nf(rel, schema.fds)
+            relation_nc(rel, schema.fds).normal_form
             partition_preventing(rel, schema.fds)
             relation_nc(rel, schema.fds)
             candidate_keys(rel, schema.fds)

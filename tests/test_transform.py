@@ -18,16 +18,17 @@ from normlens import (
     Schema,
     SchemaNC,
     UnknownRelationError,
-    classify_nf,
     closure,
     decompose_step,
     normalize_fds,
     normalize_to_bcnf,
+    parse_schema,
     project_fds,
     relation_nc,
+    schema_nc,
 )
 
-from conftest import CASE_STUDY_RENAMES
+from conftest import CASE_STUDY_RENAMES, REPO_ROOT
 from corpus import build_corpus, build_multi_corpus, fd
 
 
@@ -84,7 +85,7 @@ def test_normalize_full_run(case_study):
     assert trace.final_nc.total == Fraction(16)
     assert len(trace.final.relations) == 4
     for rel in trace.final.relations:
-        assert classify_nf(rel, trace.final.fds) is NormalForm.BCNF
+        assert relation_nc(rel, trace.final.fds).normal_form is NormalForm.BCNF
 
 
 def test_normalize_already_bcnf_schema_is_a_fixpoint():
@@ -172,7 +173,7 @@ def test_normalize_rejects_partial_dependency_with_superkey_determinant():
         (RelationSchema("R", ("a", "b", "c"), ("a", "b")),),
         (fd("F1", "a", "b"), fd("F2", "a", "c")),
     )
-    assert classify_nf(schema.relations[0], schema.fds) is NormalForm.FIRST
+    assert relation_nc(schema.relations[0], schema.fds).normal_form is NormalForm.FIRST
     with pytest.raises(DecompositionError, match="no preventing"):
         normalize_to_bcnf(schema)
 
@@ -232,12 +233,12 @@ def test_new_relation_bcnf_flag_is_accurate(case_study, step1, step2, step3):
             continue
         for step in trace.steps:
             expected = (
-                classify_nf(step.new_relation, trace.initial.fds) is NormalForm.BCNF
+                relation_nc(step.new_relation, trace.initial.fds).normal_form is NormalForm.BCNF
             )
             assert step.new_relation_bcnf == expected
             flagged += not expected
         for rel in trace.final.relations:
-            assert classify_nf(rel, trace.final.fds) is NormalForm.BCNF
+            assert relation_nc(rel, trace.final.fds).normal_form is NormalForm.BCNF
     assert flagged > 0  # the corpus does exercise the exceptional case
 
 
@@ -279,6 +280,24 @@ def test_direct_step_raises_step_errors_before_the_key_search():
         decompose_step(transitive, "R", **strict)
 
 
+def test_a_score_handed_to_a_step_must_be_the_schemas_score_in_its_mode(case_study):
+    text = (REPO_ROOT / "tests" / "golden" / "multi_relation.nls").read_text(encoding="utf-8")
+    schema = parse_schema(text).schema
+    strict = ClassificationMode.STRICT
+    # A primary-mode score would carry R3 and R4 over as 1NF into a strict
+    # score, where strict scoring says 3NF.
+    with pytest.raises(ValueError, match="strict"):
+        decompose_step(schema, "R1", strict, nc_before=schema_nc(schema))
+    # Four relations, but not these four: R1 does have a preventing dependency.
+    others = Schema("o", tuple(RelationSchema(f"X{i}", ("a",), ("a",)) for i in range(4)), ())
+    with pytest.raises(ValueError, match="'M'"):
+        decompose_step(schema, "R1", nc_before=schema_nc(others))
+    with pytest.raises(ValueError, match="'M'"):
+        decompose_step(schema, "R4", nc_before=schema_nc(case_study))
+    step = decompose_step(schema, "R1", strict, nc_before=schema_nc(schema, strict))
+    assert step == decompose_step(schema, "R1", strict)
+
+
 def _scored_from_scratch(schema: Schema, mode: ClassificationMode) -> SchemaNC:
     # Every relation scored against the global FD list, bypassing the schema's
     # FD index and any score a run carried forward.
@@ -300,7 +319,7 @@ def test_carried_scores_equal_scores_recomputed_from_scratch(mode):
             assert step.nc_before == _scored_from_scratch(before, mode)
             assert step.nc_after == _scored_from_scratch(step.schema_after, mode)
             assert step.new_relation_bcnf == (
-                classify_nf(step.new_relation, schema.fds, mode) is NormalForm.BCNF
+                relation_nc(step.new_relation, schema.fds, mode).normal_form is NormalForm.BCNF
             )
             before = step.schema_after
             steps_seen += 1
