@@ -11,14 +11,13 @@ parseable even when warnings are present.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Sequence
 
 from .classify import ClassificationMode
 from .completeness import schema_nc
-from .dsl import ParseResult, emit_report, parse_schema
+from .dsl import ParseResult, _dumps, emit_report, parse_schema
 from .errors import CapacityError, DecompositionError
 from .fd import DEFAULT_KEY_CAP, candidate_keys
 # normalize_fds is unused here, but bench/tests checks that the tracer patches it here.
@@ -129,7 +128,7 @@ def _keys_report(schema: Schema, key_cap: int, format: str) -> str:
                 for rel, keys in rows
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _dumps(payload)
     lines = [f"schema {schema.name}"]
     for rel, keys in rows:
         lines.append("")
@@ -155,7 +154,7 @@ def _check_report(result: ParseResult, format: str) -> str:
                 for d in result.diagnostics
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _dumps(payload)
     if result.ok and result.schema is not None:
         schema = result.schema
         warnings = sum(1 for d in result.diagnostics if d.severity is Severity.WARNING)

@@ -23,11 +23,11 @@ or as a stable JSON tree in which every exact rational appears as
 from __future__ import annotations
 
 import functools
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Container
 
 from .classify import ClassificationMode, FDPartition
 from .completeness import RelationNC, SchemaNC, truncated
@@ -254,8 +254,7 @@ def parse_schema(text: str) -> ParseResult:
     return ParseResult(schema if report.ok else None, tuple(diagnostics))
 
 
-def emit_schema(schema: Schema) -> str:
-    """Render a schema back into the DSL; parse(emit(s)) == s for valid s."""
+def _declaration_lines(schema: Schema) -> list[str]:
     lines = [f"schema {schema.name}"]
     for rel in schema.relations:
         attrs = ", ".join(
@@ -264,11 +263,16 @@ def emit_schema(schema: Schema) -> str:
         lines.append(
             f"relation {rel.name}({attrs}) key({', '.join(rel.primary_key)})"
         )
-    for fd in schema.fds:
-        lines.append(
-            f"fd {fd.label}: {', '.join(fd.determinant)} -> {', '.join(fd.dependents)}"
-        )
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+def _fd_line(fd: FunctionalDependency) -> str:
+    return f"fd {fd.label}: {', '.join(fd.determinant)} -> {', '.join(fd.dependents)}"
+
+
+def emit_schema(schema: Schema) -> str:
+    """Render a schema back into the DSL; parse(emit(s)) == s for valid s."""
+    return "\n".join([*_declaration_lines(schema), *map(_fd_line, schema.fds)]) + "\n"
 
 
 # --- report rendering -------------------------------------------------------
@@ -297,7 +301,22 @@ def _equation(nc: SchemaNC) -> str:
     return f"{terms} = {nc.total_display}"
 
 
-def _relation_dict(rel: RelationSchema) -> dict[str, Any]:
+class _Memo(dict):
+    """One report's trees by the id of their source object.
+
+    ``memo(build, obj)`` is ``build(obj, memo)``, built on the first call for
+    ``obj`` only, so an object the report shares becomes one shared tree. Each
+    entry keeps ``obj``, so no other object takes its id while the memo lives.
+    """
+
+    def __call__(self, build: Callable[[Any, _Memo], Any], obj: object) -> Any:
+        entry = self.get(id(obj))
+        if entry is None:
+            entry = self[id(obj)] = (obj, build(obj, self))
+        return entry[1]
+
+
+def _relation_dict(rel: RelationSchema, memo: _Memo) -> dict[str, Any]:
     return {
         "name": rel.name,
         "attributes": [
@@ -307,18 +326,22 @@ def _relation_dict(rel: RelationSchema) -> dict[str, Any]:
     }
 
 
-def _schema_dict(schema: Schema) -> dict[str, Any]:
+def _fd_list(fds: tuple[FunctionalDependency, ...], memo: _Memo) -> list[dict[str, Any]]:
+    return [
+        {
+            "label": fd.label,
+            "determinant": list(fd.determinant),
+            "dependents": list(fd.dependents),
+        }
+        for fd in fds
+    ]
+
+
+def _schema_dict(schema: Schema, memo: _Memo) -> dict[str, Any]:
     return {
         "name": schema.name,
-        "relations": [_relation_dict(rel) for rel in schema.relations],
-        "fds": [
-            {
-                "label": fd.label,
-                "determinant": list(fd.determinant),
-                "dependents": list(fd.dependents),
-            }
-            for fd in schema.fds
-        ],
+        "relations": [memo(_relation_dict, rel) for rel in schema.relations],
+        "fds": memo(_fd_list, schema.fds),
     }
 
 
@@ -337,7 +360,7 @@ def _partition_dict(partition: FDPartition) -> dict[str, Any]:
     }
 
 
-def _relation_nc_dict(rnc: RelationNC) -> dict[str, Any]:
+def _relation_nc_dict(rnc: RelationNC, memo: _Memo) -> dict[str, Any]:
     return {
         "name": rnc.relation_name,
         "normal_form": {
@@ -350,11 +373,11 @@ def _relation_nc_dict(rnc: RelationNC) -> dict[str, Any]:
     }
 
 
-def _schema_nc_dict(nc: SchemaNC) -> dict[str, Any]:
+def _schema_nc_dict(nc: SchemaNC, memo: _Memo) -> dict[str, Any]:
     return {
         "schema": nc.schema_name,
         "mode": nc.mode.value,
-        "relations": [_relation_nc_dict(r) for r in nc.per_relation],
+        "relations": [memo(_relation_nc_dict, r) for r in nc.per_relation],
         "total": _rational(nc.total),
     }
 
@@ -378,7 +401,13 @@ def _text_schema_nc(nc: SchemaNC) -> list[str]:
     return lines
 
 
+def _snapshot_fd_lines(fds: tuple[FunctionalDependency, ...], memo: _Memo) -> list[str]:
+    return [f"    {_fd_line(fd)}" for fd in fds]
+
+
 def _text_trace(trace: TransformTrace, dsl_snapshots: bool) -> list[str]:
+    # Every step's schema shares one FD tuple: its snapshot lines are rendered once.
+    memo = _Memo()
     suffix = " [strict mode]" if trace.initial_nc.mode is ClassificationMode.STRICT else ""
     lines = [
         f"schema {trace.initial.name}: normalization trace{suffix}",
@@ -398,9 +427,8 @@ def _text_trace(trace: TransformTrace, dsl_snapshots: bool) -> list[str]:
             lines.append("  note: new relation is not yet in BCNF and will be split again")
         if dsl_snapshots:
             lines.append(f"  schema after step {number}:")
-            lines += [
-                f"    {text}" for text in emit_schema(step.schema_after).splitlines()
-            ]
+            lines += [f"    {text}" for text in _declaration_lines(step.schema_after)]
+            lines += memo(_snapshot_fd_lines, step.schema_after.fds)
     lines += [
         "",
         f"final NC: {_equation(trace.final_nc)}",
@@ -409,29 +437,86 @@ def _text_trace(trace: TransformTrace, dsl_snapshots: bool) -> list[str]:
     return lines
 
 
-def _trace_dict(trace: TransformTrace) -> dict[str, Any]:
+def _trace_dict(trace: TransformTrace, memo: _Memo) -> dict[str, Any]:
     return {
         "schema": trace.initial.name,
         "mode": trace.initial_nc.mode.value,
-        "initial": _schema_dict(trace.initial),
-        "initial_nc": _schema_nc_dict(trace.initial_nc),
+        "initial": memo(_schema_dict, trace.initial),
+        "initial_nc": memo(_schema_nc_dict, trace.initial_nc),
         "steps": [
             {
                 "source": step.source_name,
                 "moved_fds": list(step.moved_fd_labels),
                 "new_relation_bcnf": step.new_relation_bcnf,
-                "new_relation": _relation_dict(step.new_relation),
-                "reduced_relation": _relation_dict(step.reduced_relation),
-                "schema_after": _schema_dict(step.schema_after),
-                "nc_before": _schema_nc_dict(step.nc_before),
-                "nc_after": _schema_nc_dict(step.nc_after),
+                "new_relation": memo(_relation_dict, step.new_relation),
+                "reduced_relation": memo(_relation_dict, step.reduced_relation),
+                "schema_after": memo(_schema_dict, step.schema_after),
+                "nc_before": memo(_schema_nc_dict, step.nc_before),
+                "nc_after": memo(_schema_nc_dict, step.nc_after),
             }
             for step in trace.steps
         ],
-        "final": _schema_dict(trace.final),
-        "final_nc": _schema_nc_dict(trace.final_nc),
+        "final": memo(_schema_dict, trace.final),
+        "final_nc": memo(_schema_nc_dict, trace.final_nc),
         "unpreserved_fds": list(trace.unpreserved_fd_labels),
     }
+
+
+def _dumps(tree: Any, shared: Container[int] = frozenset()) -> str:
+    """``json.dumps(tree, indent=2, sort_keys=True) + "\\n"``, for the types reports hold.
+
+    Only str, int, bool, None, and lists and dicts with str keys are accepted;
+    anything else raises TypeError. A list or dict whose id is in ``shared`` is
+    encoded once per depth and its text reused, so the caller keeps each such
+    object alive and unchanged until this returns.
+    """
+    chunks: list[str] = []
+    fragments: dict[tuple[int, int], str] = {}
+
+    def encode(node: Any, depth: int) -> None:
+        if isinstance(node, str):
+            chunks.append(encode_basestring_ascii(node))
+        elif node is None:
+            chunks.append("null")
+        elif node is True:
+            chunks.append("true")
+        elif node is False:
+            chunks.append("false")
+        elif isinstance(node, int):
+            chunks.append(int.__repr__(node))
+        elif not isinstance(node, (list, dict)):
+            raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+        elif not node:
+            chunks.append("[]" if isinstance(node, list) else "{}")
+        elif (id(node), depth) in fragments:
+            chunks.append(fragments[id(node), depth])
+        else:
+            start = len(chunks)
+            indent = "\n" + "  " * (depth + 1)
+            if isinstance(node, list):
+                separator = "[" + indent
+                for item in node:
+                    chunks.append(separator)
+                    encode(item, depth + 1)
+                    separator = "," + indent
+                chunks.append("\n" + "  " * depth + "]")
+            else:
+                separator = "{" + indent
+                for name, value in sorted(node.items()):
+                    if not isinstance(name, str):
+                        raise TypeError(f"keys must be str, not {type(name).__name__}")
+                    chunks.append(f"{separator}{encode_basestring_ascii(name)}: ")
+                    encode(value, depth + 1)
+                    separator = "," + indent
+                chunks.append("\n" + "  " * depth + "}")
+            if id(node) in shared:
+                fragment = fragments[id(node), depth] = "".join(chunks[start:])
+                chunks[start:] = [fragment]
+
+    encode(tree, 0)
+    del encode  # the closure refers to itself; drop it so the chunks go with this frame
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def emit_report(
@@ -444,6 +529,9 @@ def emit_report(
 
     ``dsl_snapshots`` adds the schema after every step, in DSL form, to the
     text rendering of a trace (the structured form always embeds schemas).
+    Structured output equals ``json.dumps(tree, indent=2, sort_keys=True)``
+    plus a newline; an object the report shares, such as a score carried over
+    from step to step, is built and encoded once per depth.
     """
     if format not in ("text", "structured"):
         raise ValueError(f"unknown report format {format!r}")
@@ -455,5 +543,7 @@ def emit_report(
     else:
         raise TypeError(f"cannot render {type(report).__name__} as a report")
     if format == "structured":
-        return json.dumps({"kind": kind, **as_dict(report)}, indent=2, sort_keys=True) + "\n"
+        memo = _Memo()
+        tree = {"kind": kind, **as_dict(report, memo)}
+        return _dumps(tree, {id(built) for _, built in memo.values()})
     return "\n".join(as_text(report)) + "\n"

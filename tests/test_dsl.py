@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,17 +10,24 @@ from hypothesis import strategies as st
 
 from normlens import (
     AttributeSpec,
+    ClassificationMode,
     RelationSchema,
     Schema,
     Severity,
     emit_report,
     emit_schema,
+    normalize_to_bcnf,
     parse_schema,
     partition_preventing,
     schema_nc,
 )
+from normlens import dsl
 
+from conftest import CASE_STUDY_PATH
 from corpus import build_corpus, fd
+from test_transform import _fixture_copies
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_parse_case_study_fixture(case_study):
@@ -367,3 +376,108 @@ def test_emit_report_rejects_unknown_formats_and_types(case_study):
         emit_report(case_study)  # a Schema is not a report
     with pytest.raises(TypeError):
         emit_report(partition_preventing(case_study.relations[0], case_study.fds))
+
+
+# --- structured encoding -------------------------------------------------------
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**90)
+    | st.integers(min_value=-(2**90), max_value=-(2**63) - 1)
+    | st.text(max_size=6)
+    | st.sampled_from(["", "\x00", "\x1f\x7f", "\u2028", "caf\u00e9", "\U0001f600", '"\\/'])
+)
+_trees = st.recursive(
+    _scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=24,
+)
+
+
+def _container_ids(tree) -> set[int]:
+    ids, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (list, dict)):
+            ids.add(id(node))
+            stack.extend(node.values() if isinstance(node, dict) else node)
+    return ids
+
+
+@settings(max_examples=300)
+@given(_trees, _trees.filter(lambda part: isinstance(part, (list, dict))))
+def test_the_encoder_equals_json_dumps(tree, part):
+    # One part sits at depths 1, 2 (twice) and 3, and inside the random tree.
+    wrapped = {"at_1": part, "twice_at_2": [part, part], "at_3": {"in": [part]}, "tree": tree}
+    for case in (tree, wrapped):
+        expected = json.dumps(case, indent=2, sort_keys=True) + "\n"
+        assert dsl._dumps(case) == expected
+        assert dsl._dumps(case, _container_ids(case)) == expected
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [1.5, (1, 2), {1: "a"}, ["ok", {"k": float("nan")}], {"a": {"b": (None,)}}, {"a": {2: None}}],
+    ids=["float", "tuple", "int-key", "nested-float", "nested-tuple", "nested-int-key"],
+)
+def test_the_encoder_rejects_what_reports_never_hold(tree):
+    with pytest.raises(TypeError):
+        dsl._dumps(tree)
+
+
+@pytest.mark.parametrize("mode", list(ClassificationMode))
+def test_a_structured_trace_builds_each_score_once(case_study, monkeypatch, mode):
+    trace = normalize_to_bcnf(_fixture_copies(case_study, 8), mode)
+    calls = []
+    original = dsl._relation_nc_dict
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(dsl, "_relation_nc_dict", counting)
+    out = emit_report(trace, "structured")
+    scores = [trace.initial_nc, trace.final_nc]
+    scores += [nc for step in trace.steps for nc in (step.nc_before, step.nc_after)]
+    distinct = {id(rnc) for nc in scores for rnc in nc.per_relation}
+    assert 0 < len(calls) <= len(distinct)
+    assert out.count('"membership"') == sum(len(nc.per_relation) for nc in scores)
+
+
+def test_a_text_trace_renders_the_shared_fd_block_once(case_study, monkeypatch):
+    trace = normalize_to_bcnf(_fixture_copies(case_study, 8))
+    calls = []
+    original = dsl._fd_line
+
+    def counting(item):
+        calls.append(item)
+        return original(item)
+
+    monkeypatch.setattr(dsl, "_fd_line", counting)
+    out = emit_report(trace, dsl_snapshots=True)
+    assert len(calls) == len(trace.initial.fds)
+    assert out.count("\n    fd ") == len(trace.steps) * len(trace.initial.fds)
+
+
+def test_a_structured_report_keeps_nothing_after_it_returns(case_study):
+    trace = normalize_to_bcnf(case_study)
+    parts = [trace, trace.final, trace.final_nc, trace.final_nc.per_relation[0]]
+    refs = [weakref.ref(part) for part in parts]
+    emit_report(trace, "structured")
+    del trace, parts
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_traces_rendered_in_turn_match_their_own_goldens():
+    # Each trace is freed before the next is built, so ids come back.
+    sources = {"case_study": CASE_STUDY_PATH, "multi_relation": GOLDEN / "multi_relation.nls"}
+    for _ in range(3):
+        for name, path in sources.items():
+            for mode in ClassificationMode:
+                trace = normalize_to_bcnf(parse_schema(path.read_text(encoding="utf-8")).schema, mode)
+                expected = (GOLDEN / f"{name}.normalize.{mode.value}.json").read_text(encoding="utf-8")
+                assert emit_report(trace, "structured") == expected
+                del trace
