@@ -72,9 +72,9 @@ class RelationNC:
 
 @dataclass(frozen=True)
 class SchemaNC:
-    """Per-relation scores plus the schema total (their exact sum)."""
+    """The scored schema, its per-relation scores and their exact sum."""
 
-    schema_name: str
+    schema: Schema
     mode: ClassificationMode
     per_relation: tuple[RelationNC, ...]
 
@@ -128,7 +128,7 @@ def schema_nc(
 ) -> SchemaNC:
     """Score every relation in schema order and total them exactly."""
     return SchemaNC(
-        schema_name=schema.name,
+        schema=schema,
         mode=mode,
         per_relation=tuple(
             relation_nc(rel, schema.projected_fds(rel), mode, key_cap=key_cap)

@@ -375,7 +375,7 @@ def _relation_nc_dict(rnc: RelationNC, memo: _Memo) -> dict[str, Any]:
 
 def _schema_nc_dict(nc: SchemaNC, memo: _Memo) -> dict[str, Any]:
     return {
-        "schema": nc.schema_name,
+        "schema": nc.schema.name,
         "mode": nc.mode.value,
         "relations": [memo(_relation_nc_dict, r) for r in nc.per_relation],
         "total": _rational(nc.total),
@@ -384,7 +384,7 @@ def _schema_nc_dict(nc: SchemaNC, memo: _Memo) -> dict[str, Any]:
 
 def _text_schema_nc(nc: SchemaNC) -> list[str]:
     suffix = " [strict mode]" if nc.mode is ClassificationMode.STRICT else ""
-    lines = [f"schema {nc.schema_name}{suffix}"]
+    lines = [f"schema {nc.schema.name}{suffix}"]
     for rnc in nc.per_relation:
         part = rnc.partition
         lines += [
@@ -410,7 +410,7 @@ def _text_trace(trace: TransformTrace, dsl_snapshots: bool) -> list[str]:
     memo = _Memo()
     suffix = " [strict mode]" if trace.initial_nc.mode is ClassificationMode.STRICT else ""
     lines = [
-        f"schema {trace.initial.name}: normalization trace{suffix}",
+        f"schema {trace.initial_nc.schema.name}: normalization trace{suffix}",
         f"initial NC: {_equation(trace.initial_nc)}",
     ]
     for number, step in enumerate(trace.steps, 1):
@@ -427,8 +427,8 @@ def _text_trace(trace: TransformTrace, dsl_snapshots: bool) -> list[str]:
             lines.append("  note: new relation is not yet in BCNF and will be split again")
         if dsl_snapshots:
             lines.append(f"  schema after step {number}:")
-            lines += [f"    {text}" for text in _declaration_lines(step.schema_after)]
-            lines += memo(_snapshot_fd_lines, step.schema_after.fds)
+            lines += [f"    {text}" for text in _declaration_lines(step.nc_after.schema)]
+            lines += memo(_snapshot_fd_lines, step.nc_after.schema.fds)
     lines += [
         "",
         f"final NC: {_equation(trace.final_nc)}",
@@ -439,9 +439,9 @@ def _text_trace(trace: TransformTrace, dsl_snapshots: bool) -> list[str]:
 
 def _trace_dict(trace: TransformTrace, memo: _Memo) -> dict[str, Any]:
     return {
-        "schema": trace.initial.name,
+        "schema": trace.initial_nc.schema.name,
         "mode": trace.initial_nc.mode.value,
-        "initial": memo(_schema_dict, trace.initial),
+        "initial": memo(_schema_dict, trace.initial_nc.schema),
         "initial_nc": memo(_schema_nc_dict, trace.initial_nc),
         "steps": [
             {
@@ -450,13 +450,13 @@ def _trace_dict(trace: TransformTrace, memo: _Memo) -> dict[str, Any]:
                 "new_relation_bcnf": step.new_relation_bcnf,
                 "new_relation": memo(_relation_dict, step.new_relation),
                 "reduced_relation": memo(_relation_dict, step.reduced_relation),
-                "schema_after": memo(_schema_dict, step.schema_after),
+                "schema_after": memo(_schema_dict, step.nc_after.schema),
                 "nc_before": memo(_schema_nc_dict, step.nc_before),
                 "nc_after": memo(_schema_nc_dict, step.nc_after),
             }
             for step in trace.steps
         ],
-        "final": memo(_schema_dict, trace.final),
+        "final": memo(_schema_dict, trace.final_nc.schema),
         "final_nc": memo(_schema_nc_dict, trace.final_nc),
         "unpreserved_fds": list(trace.unpreserved_fd_labels),
     }

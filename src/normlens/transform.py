@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .classify import ClassificationMode, partition_preventing
+from .classify import ClassificationMode
 from .completeness import SchemaNC, relation_nc, schema_nc
 from .errors import AlreadyBCNFError, DecompositionError, UnknownRelationError
 from .fd import DEFAULT_KEY_CAP
@@ -25,7 +25,7 @@ from .model import NormalForm, RelationSchema, Schema, normalize_fds
 
 @dataclass(frozen=True)
 class TransformStep:
-    """One decomposition step with the schema scores around it.
+    """One decomposition step with the scored schemas before and after it.
 
     ``new_relation_bcnf`` records whether the freshly split-off relation is
     already in BCNF. It usually is (its key determines everything it holds),
@@ -37,7 +37,6 @@ class TransformStep:
     moved_fd_labels: tuple[str, ...]
     new_relation: RelationSchema
     reduced_relation: RelationSchema
-    schema_after: Schema
     nc_before: SchemaNC
     nc_after: SchemaNC
     new_relation_bcnf: bool
@@ -45,43 +44,41 @@ class TransformStep:
 
 @dataclass(frozen=True)
 class TransformTrace:
-    """Full decomposition run: initial schema, ordered steps, final schema."""
+    """Full decomposition run: initial score, ordered steps, final score (each with its schema)."""
 
-    initial: Schema
     steps: tuple[TransformStep, ...]
-    final: Schema
     initial_nc: SchemaNC
     final_nc: SchemaNC
     unpreserved_fd_labels: tuple[str, ...]
 
 
 def decompose_step(
-    schema: Schema,
+    nc_before: SchemaNC,
     relation_name: str,
-    mode: ClassificationMode = ClassificationMode.PRIMARY,
     *,
     rename: Mapping[str, str] | None = None,
     key_cap: int = DEFAULT_KEY_CAP,
-    nc_before: SchemaNC | None = None,
 ) -> TransformStep:
     """Split one preventing dependency group out of the named relation.
 
+    ``nc_before`` is ``schema_nc(schema, mode)`` or an earlier step's
+    ``nc_after``: the step splits its schema, reads the relation's partition
+    from it and scores only the two changed relations, in its mode.
     The new relation's default name is ``<source>_<determinant attributes>``,
     made fresh with a ``_2``, ``_3``, ... suffix while a relation of the
     schema already has it; the reduced relation keeps the source name by
-    default; ``rename`` maps default names to wanted ones. Raises
-    UnknownRelationError when no relation has the name, AlreadyBCNFError when
-    the relation has no preventing dependency, DecompositionError when several
-    relations have the name, when a moved dependent belongs to the source
-    primary key (the step would break the key) or when renaming collides with
-    an existing relation, all before any scoring (so before strict mode's
-    CapacityError). ``nc_before`` is ``schema_nc(schema, mode)`` if the caller
-    has it (ValueError if its mode or relation names differ), else it is
-    computed; only the two changed relations are scored.
+    default; ``rename`` maps default names to wanted ones. Raises ValueError
+    when the score's relation names are not its schema's, UnknownRelationError
+    when no relation has the name, AlreadyBCNFError when the relation has no
+    preventing dependency, DecompositionError when several relations have the
+    name, when the group moves no attribute (a trivial or dependent-less FD),
+    when a moved dependent belongs to the source primary key (the step would
+    break the key) or when renaming collides with an existing relation, all
+    before any scoring (so before strict mode's CapacityError).
     """
-    scored = nc_before and (nc_before.mode, [r.relation_name for r in nc_before.per_relation])
-    if scored and scored != (mode, [rel.name for rel in schema.relations]):
-        raise ValueError(f"nc_before is not the {mode.value}-mode score of schema {schema.name!r}")
+    schema, mode = nc_before.schema, nc_before.mode
+    if [r.relation_name for r in nc_before.per_relation] != [r.name for r in schema.relations]:
+        raise ValueError(f"nc_before does not score the relations of schema {schema.name!r}")
     rename = rename or {}
     matches = [i for i, rel in enumerate(schema.relations) if rel.name == relation_name]
     if not matches:
@@ -94,11 +91,7 @@ def decompose_step(
         )
     position = matches[0]
     source = schema.relations[position]
-    partition = (
-        nc_before.per_relation[position].partition
-        if nc_before is not None
-        else partition_preventing(source, schema.projected_fds(source))
-    )
+    partition = nc_before.per_relation[position].partition
     if not partition.preventing:
         raise AlreadyBCNFError(
             f"relation {relation_name!r} has no preventing dependency to split off"
@@ -108,11 +101,16 @@ def decompose_step(
     group = tuple(
         fd for fd in partition.preventing if fd.determinant_set == first.determinant_set
     )
+    labels = tuple(fd.label for fd in group)
     determinant = first.determinant
     moved = list(dict.fromkeys(
         dep for fd in group for dep in fd.dependents if dep not in first.determinant_set
     ))
 
+    if not moved:
+        raise DecompositionError(
+            f"cannot decompose {relation_name!r}: {', '.join(labels)} moves no attribute"
+        )
     broken_key = sorted(set(moved) & source.primary_key_set)
     if broken_key:
         raise DecompositionError(
@@ -146,8 +144,6 @@ def decompose_step(
     relations = list(schema.relations)
     relations[position] = reduced_relation
     schema_after = schema.with_relations((*relations, new_relation))
-    if nc_before is None:
-        nc_before = schema_nc(schema, mode, key_cap=key_cap)
     reduced_nc, new_nc = (
         relation_nc(rel, schema_after.projected_fds(rel), mode, key_cap=key_cap)
         for rel in (reduced_relation, new_relation)
@@ -156,12 +152,11 @@ def decompose_step(
     scores[position] = reduced_nc
     return TransformStep(
         source_name=source.name,
-        moved_fd_labels=tuple(fd.label for fd in group),
+        moved_fd_labels=labels,
         new_relation=new_relation,
         reduced_relation=reduced_relation,
-        schema_after=schema_after,
         nc_before=nc_before,
-        nc_after=SchemaNC(schema.name, mode, (*scores, new_nc)),
+        nc_after=SchemaNC(schema_after, mode, (*scores, new_nc)),
         new_relation_bcnf=new_nc.normal_form is NormalForm.BCNF,
     )
 
@@ -176,16 +171,16 @@ def normalize_to_bcnf(
     """Decompose the first relation below BCNF, repeatedly, until none is left.
 
     Terminates because each step replaces the source with two strictly
-    smaller relations. Raises DecompositionError when a relation sits below
-    BCNF with no preventing dependency: splitting cannot atomize attributes,
-    nor fix a partial dependency whose determinant is already a superkey (an
-    oversized primary key causes the latter).
+    smaller relations (a group that would move no attribute is an error).
+    Raises DecompositionError when a relation sits below BCNF with no
+    preventing dependency: splitting cannot atomize attributes, nor fix a
+    partial dependency whose determinant is already a superkey (an oversized
+    primary key causes the latter).
 
     The schema is scored once; each step scores its two changed relations
     and hands the score on, so s steps over r relations score r + 2s.
     """
     steps: list[TransformStep] = []
-    current = schema
     nc = initial_nc = schema_nc(schema, mode, key_cap=key_cap)
     while True:
         target = next(
@@ -199,18 +194,14 @@ def normalize_to_bcnf(
                 f"relation {target.relation_name!r} is below BCNF but has no preventing"
                 f" dependency; decomposition cannot raise it further"
             )
-        step = decompose_step(
-            current, target.relation_name, mode, rename=rename, key_cap=key_cap, nc_before=nc
-        )
+        step = decompose_step(nc, target.relation_name, rename=rename, key_cap=key_cap)
         steps.append(step)
-        current, nc = step.schema_after, step.nc_after
+        nc = step.nc_after
 
     parts = [rnc.partition for rnc in nc.per_relation]
     preserved = {fd for part in parts for fd in part.preventing + part.non_preventing}
     return TransformTrace(
-        initial=schema,
         steps=tuple(steps),
-        final=current,
         initial_nc=initial_nc,
         final_nc=nc,
         unpreserved_fd_labels=tuple(

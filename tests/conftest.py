@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from normlens import Schema, TransformStep, decompose_step, parse_schema
+from normlens import Schema, TransformStep, decompose_step, parse_schema, schema_nc
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CASE_STUDY_PATH = REPO_ROOT / "case_study.nls"
@@ -31,18 +31,18 @@ def case_study() -> Schema:
 @pytest.fixture(scope="session")
 def step1(case_study: Schema) -> TransformStep:
     return decompose_step(
-        case_study, "StaffPropertyInspection", rename=CASE_STUDY_RENAMES
+        schema_nc(case_study), "StaffPropertyInspection", rename=CASE_STUDY_RENAMES
     )
 
 
 @pytest.fixture(scope="session")
 def step2(step1: TransformStep) -> TransformStep:
-    return decompose_step(step1.schema_after, "StaffInspection", rename=CASE_STUDY_RENAMES)
+    return decompose_step(step1.nc_after, "StaffInspection", rename=CASE_STUDY_RENAMES)
 
 
 @pytest.fixture(scope="session")
 def step3(step2: TransformStep) -> TransformStep:
-    return decompose_step(step2.schema_after, "Inspection", rename=CASE_STUDY_RENAMES)
+    return decompose_step(step2.nc_after, "Inspection", rename=CASE_STUDY_RENAMES)
 
 
 def _criterion_order(name: str) -> int:

@@ -65,7 +65,7 @@ def test_criterion_1_step1_analysis(case_study):
 
 
 def test_criterion_2_step2_analysis(step1):
-    report = schema_nc(step1.schema_after)
+    report = schema_nc(step1.nc_after.schema)
     scored = report.per_relation[0]
     part = scored.partition
     assert scored.relation_name == "StaffInspection"
@@ -80,7 +80,7 @@ def test_criterion_2_step2_analysis(step1):
 
 
 def test_criterion_3_step3_analysis(step2):
-    report = schema_nc(step2.schema_after)
+    report = schema_nc(step2.nc_after.schema)
     by_name = {scored.relation_name: scored for scored in report.per_relation}
 
     inspection = by_name["Inspection"]
@@ -108,8 +108,8 @@ def test_criterion_4_normalize_reproduces_expected_headings(case_study):
     assert trace.steps[1].reduced_relation.name == "Inspection"
     assert len(trace.steps[1].reduced_relation.attributes) == 6
     # Terminates with everything in BCNF.
-    for rel in trace.final.relations:
-        assert relation_nc(rel, trace.final.fds).normal_form is NormalForm.BCNF
+    for rel in trace.final_nc.schema.relations:
+        assert relation_nc(rel, trace.final_nc.schema.fds).normal_form is NormalForm.BCNF
 
 
 def test_criterion_5_membership_endpoints_exhaustively():
@@ -158,7 +158,7 @@ def test_criterion_7_every_step_is_a_lossless_split(corpus):
             trace = normalize_to_bcnf(schema)
         except DecompositionError:
             continue  # moved dependent inside the primary key; documented rejection
-        normalized = normalize_fds(trace.initial.fds)
+        normalized = normalize_fds(trace.initial_nc.schema.fds)
         for step in trace.steps:
             steps_seen += 1
             shared = (

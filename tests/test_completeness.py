@@ -86,7 +86,7 @@ def test_schema_nc_totals_across_the_transformation(case_study, step1, step2):
     assert initial.total == Fraction(13, 8)
     assert initial.total_display == "1.62"
 
-    after_first = schema_nc(step1.schema_after)
+    after_first = schema_nc(step1.nc_after.schema)
     assert [r.relation_name for r in after_first.per_relation] == [
         "StaffInspection",
         "Property",
@@ -94,7 +94,7 @@ def test_schema_nc_totals_across_the_transformation(case_study, step1, step2):
     assert after_first.total == 6 + Fraction(5, 7)
     assert after_first.total_display == "6.71"
 
-    after_second = schema_nc(step2.schema_after)
+    after_second = schema_nc(step2.nc_after.schema)
     assert [r.relation_name for r in after_second.per_relation] == [
         "Inspection",
         "Property",

@@ -312,7 +312,7 @@ def test_source_document_provenance_in_rendering():
 
 
 def test_schema_nc_text_report_total_equation(step1):
-    text = emit_report(schema_nc(step1.schema_after))
+    text = emit_report(schema_nc(step1.nc_after.schema))
     assert "2.71 + 4 = 6.71" in text.splitlines()
     assert "NC = 2.71 (exact 19/7)" in text
     assert "membership x = 0.71 (exact 5/7)" in text
@@ -458,13 +458,13 @@ def test_a_text_trace_renders_the_shared_fd_block_once(case_study, monkeypatch):
 
     monkeypatch.setattr(dsl, "_fd_line", counting)
     out = emit_report(trace, dsl_snapshots=True)
-    assert len(calls) == len(trace.initial.fds)
-    assert out.count("\n    fd ") == len(trace.steps) * len(trace.initial.fds)
+    assert len(calls) == len(trace.initial_nc.schema.fds)
+    assert out.count("\n    fd ") == len(trace.steps) * len(trace.initial_nc.schema.fds)
 
 
 def test_a_structured_report_keeps_nothing_after_it_returns(case_study):
     trace = normalize_to_bcnf(case_study)
-    parts = [trace, trace.final, trace.final_nc, trace.final_nc.per_relation[0]]
+    parts = [trace, trace.final_nc.schema, trace.final_nc, trace.final_nc.per_relation[0]]
     refs = [weakref.ref(part) for part in parts]
     emit_report(trace, "structured")
     del trace, parts

@@ -5,10 +5,11 @@ implementation that rescored the whole schema on every decomposition step;
 the incremental rescoring must not change a single byte of what they print.
 The command table pins the outputs no structured file covers: ``keys`` and
 ``check`` in both formats, text ``analyze`` and ``normalize`` (with and
-without ``--trace``), ``check`` on invalid schemas read from stdin,
-among them one whose findings about repeated names must each point at their
-own declaration, and ``analyze`` and ``normalize`` on an unnormalized
-relation (``UNF (N=0)``, NC ``1/6``) that decomposition cannot raise.
+without ``--trace``, and both in strict mode for ``multi_relation``),
+``check`` on invalid schemas read from stdin, among them one whose findings
+about repeated names must each point at their own declaration, and
+``analyze`` and ``normalize`` on an unnormalized relation (``UNF (N=0)``,
+NC ``1/6``) that decomposition cannot raise.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ COMMAND_CASES = {
             ("analyze", ["analyze"]),
             ("normalize", ["normalize"]),
             ("normalize-trace", ["normalize", "--trace"]),
+        )
+    },
+    **{
+        f"multi_relation.{label}.text": ("multi_relation", ["normalize", *args], 0)
+        for label, args in (
+            ("normalize-strict", ["--mode", "strict"]),
+            ("normalize-strict-trace", ["--mode", "strict", "--trace"]),
         )
     },
     **{

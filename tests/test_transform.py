@@ -75,7 +75,7 @@ def test_attribute_preservation_per_step(case_study, step1, step2, step3):
 def test_normalize_full_run(case_study):
     trace = normalize_to_bcnf(case_study, rename=CASE_STUDY_RENAMES)
     assert len(trace.steps) == 3
-    assert trace.initial == case_study
+    assert trace.initial_nc.schema == case_study
     assert trace.initial_nc.total_display == "1.62"
     assert [step.nc_after.total_display for step in trace.steps] == [
         "6.71",
@@ -83,9 +83,9 @@ def test_normalize_full_run(case_study):
         "16.00",
     ]
     assert trace.final_nc.total == Fraction(16)
-    assert len(trace.final.relations) == 4
-    for rel in trace.final.relations:
-        assert relation_nc(rel, trace.final.fds).normal_form is NormalForm.BCNF
+    assert len(trace.final_nc.schema.relations) == 4
+    for rel in trace.final_nc.schema.relations:
+        assert relation_nc(rel, trace.final_nc.schema.fds).normal_form is NormalForm.BCNF
 
 
 def test_normalize_already_bcnf_schema_is_a_fixpoint():
@@ -94,7 +94,7 @@ def test_normalize_already_bcnf_schema_is_a_fixpoint():
     )
     trace = normalize_to_bcnf(schema)
     assert trace.steps == ()
-    assert trace.final == schema
+    assert trace.final_nc.schema == schema
     assert trace.initial_nc.total == trace.final_nc.total == 4
 
 
@@ -107,7 +107,7 @@ def test_unpreserved_fds_reported(case_study):
 
 def test_unknown_relation_error(case_study):
     with pytest.raises(UnknownRelationError):
-        decompose_step(case_study, "Nowhere")
+        decompose_step(schema_nc(case_study), "Nowhere")
 
 
 def test_a_name_shared_by_two_relations_is_a_decomposition_error():
@@ -120,9 +120,9 @@ def test_a_name_shared_by_two_relations_is_a_decomposition_error():
     with pytest.raises(DecompositionError, match="'R'"):
         normalize_to_bcnf(schema)
     with pytest.raises(DecompositionError, match="'R'"):
-        decompose_step(schema, "R")
+        decompose_step(schema_nc(schema), "R")
     with pytest.raises(UnknownRelationError) as missing:
-        decompose_step(schema, "Nowhere")
+        decompose_step(schema_nc(schema), "Nowhere")
     assert str(missing.value) == "no relation named 'Nowhere' in schema 's'"
 
 
@@ -131,7 +131,7 @@ def test_decompose_bcnf_relation_is_rejected():
         "s", (RelationSchema("R", ("a", "b"), ("a",)),), (fd("F1", "a", "b"),)
     )
     with pytest.raises(AlreadyBCNFError):
-        decompose_step(schema, "R")
+        decompose_step(schema_nc(schema), "R")
 
 
 def test_moved_dependent_inside_primary_key_is_rejected():
@@ -141,7 +141,7 @@ def test_moved_dependent_inside_primary_key_is_rejected():
         (fd("F1", "c", "a"),),
     )
     with pytest.raises(DecompositionError, match="primary key"):
-        decompose_step(schema, "R")
+        decompose_step(schema_nc(schema), "R")
 
 
 def test_preventing_fds_with_equal_determinant_move_together():
@@ -150,7 +150,7 @@ def test_preventing_fds_with_equal_determinant_move_together():
         (RelationSchema("R", ("a", "b", "c", "d", "e"), ("a", "b")),),
         (fd("G1", "c", "d"), fd("G2", "c", "e")),
     )
-    step = decompose_step(schema, "R")
+    step = decompose_step(schema_nc(schema), "R")
     assert step.moved_fd_labels == ("G1", "G2")
     assert step.new_relation.heading() == "R_c(c, d, e)"
     assert step.reduced_relation.attribute_names == ("a", "b", "c")
@@ -159,7 +159,7 @@ def test_preventing_fds_with_equal_determinant_move_together():
 def test_rename_collision_is_rejected(case_study):
     with pytest.raises(DecompositionError, match="duplicate"):
         decompose_step(
-            case_study,
+            schema_nc(case_study),
             "StaffPropertyInspection",
             rename={"StaffPropertyInspection_propertyNo": "StaffPropertyInspection"},
         )
@@ -212,7 +212,7 @@ def test_corpus_steps_are_lossless_and_nc_increases():
             determinant = frozenset(step.new_relation.primary_key)
             assert shared == determinant
             projected = project_fds(
-                normalize_fds(trace.initial.fds), step.new_relation.attribute_set
+                normalize_fds(trace.initial_nc.schema.fds), step.new_relation.attribute_set
             )
             assert closure(determinant, projected) >= step.new_relation.attribute_set
             assert step.nc_after.total > step.nc_before.total
@@ -233,12 +233,13 @@ def test_new_relation_bcnf_flag_is_accurate(case_study, step1, step2, step3):
             continue
         for step in trace.steps:
             expected = (
-                relation_nc(step.new_relation, trace.initial.fds).normal_form is NormalForm.BCNF
+                relation_nc(step.new_relation, trace.initial_nc.schema.fds).normal_form
+                is NormalForm.BCNF
             )
             assert step.new_relation_bcnf == expected
             flagged += not expected
-        for rel in trace.final.relations:
-            assert relation_nc(rel, trace.final.fds).normal_form is NormalForm.BCNF
+        for rel in trace.final_nc.schema.relations:
+            assert relation_nc(rel, trace.final_nc.schema.fds).normal_form is NormalForm.BCNF
     assert flagged > 0  # the corpus does exercise the exceptional case
 
 
@@ -249,60 +250,74 @@ def test_split_off_relation_gets_a_fresh_default_name():
     )
     fds = (fd("F1", "a", "b"), fd("F2", "b", "c"), fd("F3", "a", "c"))
     trace = normalize_to_bcnf(Schema("s", relations, fds))
-    assert [rel.heading() for rel in trace.final.relations] == [
+    assert [rel.heading() for rel in trace.final_nc.schema.relations] == [
         "R(a, b)", "R_b(x)", "R_b_2(b, c)",
     ]
     taken_twice = Schema("s", (*relations, RelationSchema("R_b_2", ("y",), ("y",))), fds)
-    assert decompose_step(taken_twice, "R").new_relation.name == "R_b_3"
+    assert decompose_step(schema_nc(taken_twice), "R").new_relation.name == "R_b_3"
     # A collision the caller asked for is still an error.
     with pytest.raises(DecompositionError, match="duplicate"):
-        decompose_step(Schema("s", relations, fds), "R", rename={"R_b_2": "R_b"})
+        decompose_step(schema_nc(Schema("s", relations, fds)), "R", rename={"R_b_2": "R_b"})
 
 
 def test_direct_step_raises_step_errors_before_the_key_search():
     # key_cap=1 makes any strict-mode key search fail, so each of these must
-    # surface before scoring starts.
-    strict = {"mode": ClassificationMode.STRICT, "key_cap": 1}
+    # surface before the step scores the relations it produces.
+    strict = ClassificationMode.STRICT
     bcnf = Schema("s", (RelationSchema("R", ("a", "b"), ("a",)),), (fd("F1", "a", "b"),))
     broken_key = Schema(
         "s", (RelationSchema("R", ("a", "b", "c"), ("a", "b")),), (fd("F1", "c", "a"),)
     )
     with pytest.raises(UnknownRelationError):
-        decompose_step(bcnf, "Nowhere", **strict)
+        decompose_step(schema_nc(bcnf, strict), "Nowhere", key_cap=1)
     with pytest.raises(AlreadyBCNFError):
-        decompose_step(bcnf, "R", **strict)
+        decompose_step(schema_nc(bcnf, strict), "R", key_cap=1)
     with pytest.raises(DecompositionError, match="primary key"):
-        decompose_step(broken_key, "R", **strict)
+        decompose_step(schema_nc(broken_key, strict), "R", key_cap=1)
     transitive = Schema(
         "s", (RelationSchema("R", ("a", "b", "c"), ("a",)),), (fd("F1", "a", "b"), fd("F2", "b", "c"))
     )
     with pytest.raises(CapacityError):
-        decompose_step(transitive, "R", **strict)
+        decompose_step(schema_nc(transitive, strict), "R", key_cap=1)
 
 
-def test_a_score_handed_to_a_step_must_be_the_schemas_score_in_its_mode(case_study):
+def test_a_score_must_cover_the_relations_of_its_schema(case_study):
     text = (REPO_ROOT / "tests" / "golden" / "multi_relation.nls").read_text(encoding="utf-8")
     schema = parse_schema(text).schema
-    strict = ClassificationMode.STRICT
-    # A primary-mode score would carry R3 and R4 over as 1NF into a strict
-    # score, where strict scoring says 3NF.
-    with pytest.raises(ValueError, match="strict"):
-        decompose_step(schema, "R1", strict, nc_before=schema_nc(schema))
+    primary = ClassificationMode.PRIMARY
     # Four relations, but not these four: R1 does have a preventing dependency.
     others = Schema("o", tuple(RelationSchema(f"X{i}", ("a",), ("a",)) for i in range(4)), ())
     with pytest.raises(ValueError, match="'M'"):
-        decompose_step(schema, "R1", nc_before=schema_nc(others))
+        decompose_step(SchemaNC(schema, primary, schema_nc(others).per_relation), "R1")
     with pytest.raises(ValueError, match="'M'"):
-        decompose_step(schema, "R4", nc_before=schema_nc(case_study))
-    step = decompose_step(schema, "R1", strict, nc_before=schema_nc(schema, strict))
-    assert step == decompose_step(schema, "R1", strict)
+        decompose_step(SchemaNC(schema, primary, schema_nc(case_study).per_relation), "R4")
+    # A score of the first three relations only.
+    with pytest.raises(ValueError, match="'M'"):
+        decompose_step(SchemaNC(schema, primary, schema_nc(schema).per_relation[:3]), "R1")
+
+
+@pytest.mark.parametrize(
+    ("determinant", "dependents"), [(("b", "c"), ("c",)), (("b",), ())], ids=["trivial", "empty"]
+)
+def test_a_step_that_moves_no_attribute_is_a_decomposition_error(determinant, dependents):
+    # Validation rejects both FDs, but library schemas are not validated; each
+    # is preventing, and splitting it off would leave R as it was, forever.
+    schema = Schema(
+        "s",
+        (RelationSchema("R", ("a", "b", "c"), ("a",)),),
+        (FunctionalDependency("F1", determinant, dependents),),
+    )
+    with pytest.raises(DecompositionError, match="'R': F1 moves no attribute"):
+        decompose_step(schema_nc(schema), "R")
+    with pytest.raises(DecompositionError, match="'R': F1 moves no attribute"):
+        normalize_to_bcnf(schema)
 
 
 def _scored_from_scratch(schema: Schema, mode: ClassificationMode) -> SchemaNC:
     # Every relation scored against the global FD list, bypassing the schema's
     # FD index and any score a run carried forward.
     return SchemaNC(
-        schema.name, mode, tuple(relation_nc(rel, schema.fds, mode) for rel in schema.relations)
+        schema, mode, tuple(relation_nc(rel, schema.fds, mode) for rel in schema.relations)
     )
 
 
@@ -317,14 +332,32 @@ def test_carried_scores_equal_scores_recomputed_from_scratch(mode):
         before = schema
         for step in trace.steps:
             assert step.nc_before == _scored_from_scratch(before, mode)
-            assert step.nc_after == _scored_from_scratch(step.schema_after, mode)
+            assert step.nc_after == _scored_from_scratch(step.nc_after.schema, mode)
             assert step.new_relation_bcnf == (
                 relation_nc(step.new_relation, schema.fds, mode).normal_form is NormalForm.BCNF
             )
-            before = step.schema_after
+            before = step.nc_after.schema
             steps_seen += 1
         assert trace.initial_nc == _scored_from_scratch(schema, mode)
-        assert trace.final_nc == _scored_from_scratch(trace.final, mode)
+        assert trace.final_nc == _scored_from_scratch(trace.final_nc.schema, mode)
+    assert steps_seen > 100
+
+
+@pytest.mark.parametrize("mode", list(ClassificationMode))
+def test_a_chain_of_public_steps_is_the_run(mode):
+    steps_seen = 0
+    for schema in build_multi_corpus(count=80):
+        try:
+            trace = normalize_to_bcnf(schema, mode)
+        except DecompositionError:
+            continue
+        nc = schema_nc(schema, mode)
+        for step in trace.steps:
+            chained = decompose_step(nc, step.source_name)
+            assert chained == step
+            nc = chained.nc_after
+            steps_seen += 1
+        assert nc == trace.final_nc
     assert steps_seen > 100
 
 
@@ -382,9 +415,11 @@ def test_normalize_projects_each_relation_once(case_study, monkeypatch, mode):
     trace = normalize_to_bcnf(_fixture_copies(case_study, copies), mode)
     assert len(trace.steps) == 3 * copies
     assert len(calls) <= copies + 2 * len(trace.steps)
-    singletons = normalize_fds(trace.initial.fds)
+    singletons = normalize_fds(trace.initial_nc.schema.fds)
     preserved = {
-        fd for rel in trace.final.relations for fd in project_fds(singletons, rel.attribute_set)
+        fd
+        for rel in trace.final_nc.schema.relations
+        for fd in project_fds(singletons, rel.attribute_set)
     }
     assert trace.unpreserved_fd_labels == tuple(
         fd.label for fd in singletons if fd not in preserved
