@@ -15,9 +15,10 @@ sets, so classification has two modes:
   key that is not a superkey and determines an attribute outside the key.
 * STRICT: every candidate key matters and "non-prime" means belonging to no
   candidate key. This stronger reading can demote a relation PRIMARY
-  accepts (a proper subset of any candidate key determining a non-prime
-  attribute already blocks 2NF). STRICT is the only mode that enumerates
-  candidate keys, so it is the only one that can hit the search cap.
+  accepts: a non-prime attribute in the closure of a proper subset of any
+  candidate key blocks 2NF, whether one listed dependency or a chain of them
+  reaches it. STRICT is the only mode that enumerates candidate keys, so it
+  is the only one that can hit the search cap.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-# closure is unused here, but bench/tests checks that the tracer patches it here.
-from .fd import DEFAULT_KEY_CAP, candidate_keys, closure, is_superkey, project_fds  # noqa: F401
+from .fd import DEFAULT_KEY_CAP, candidate_keys, closure, is_superkey, project_fds
 from .model import FunctionalDependency, NormalForm, RelationSchema, normalize_fds
 
 
@@ -115,12 +115,22 @@ def classify_partition(
     def non_prime_dependent(fd: FunctionalDependency) -> bool:
         return any(a not in primes for a in fd.dependents)
 
-    if any(
-        fd.determinant
-        and any(fd.determinant_set < key for key in keys)
-        and non_prime_dependent(fd)
-        for fd in projected
-    ):
+    if mode is ClassificationMode.STRICT:
+        # Textbook 2NF: no proper subset of a key reaches a non-prime attribute,
+        # through any chain of dependencies. Closure is monotone, so the
+        # subsets one attribute short of a key are the only ones to try
+        # (in sorted order, so the number of closures repeats from run to run).
+        partial = any(
+            not closure(key - {a}, projected) <= primes for key in keys for a in sorted(key)
+        )
+    else:
+        partial = any(
+            fd.determinant
+            and fd.determinant_set < relation.primary_key_set
+            and non_prime_dependent(fd)
+            for fd in projected
+        )
+    if partial:
         return NormalForm.FIRST
     if any(
         non_prime_dependent(fd)

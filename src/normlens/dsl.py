@@ -42,7 +42,17 @@ from .model import (
 )
 from .transform import TransformTrace
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|[(),:*]|\S")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_LIST = rf"{_IDENT}(?:\s*,\s*{_IDENT})*"
+_TOKEN_RE = re.compile(rf"{_IDENT}|->|[(),:*]|\S")
+_IDENT_RE = re.compile(_IDENT)
+_ATTRIBUTE_RE = re.compile(rf"({_IDENT})(?:\s*(\*))?")
+# A whole well-formed relation line (groups: name, attributes, key) or fd line
+# (groups: label, determinant, dependents); \s is the whitespace the tokenizer skips.
+_DECLARATION_RE = re.compile(
+    rf"\s*(?:relation\s+({_IDENT})\s*\(\s*({_IDENT}(?:\s*\*)?(?:\s*,\s*{_IDENT}(?:\s*\*)?)*)"
+    rf"\s*\)\s*key\s*\(\s*({_LIST})\s*\)|fd\s+({_IDENT})\s*:\s*({_LIST})\s*->\s*({_LIST}))\s*"
+)
 
 
 @dataclass(frozen=True)
@@ -129,23 +139,71 @@ class _LineParser:
         if self.peek() is not None:
             self.error(f"unexpected text after {context}")
 
-    def ident_list(self, what: str) -> list[str]:
+    def ident_list(self, what: str) -> None:
         # "empty determinant list" / "empty dependent list" / "empty key list"
         text = self.peek()
         if text is None or not IDENTIFIER.match(text):
             self.error(f"empty {what} list")
-        names: list[str] = []
+        names: set[str] = set()
         while True:
             col = self.next_col()
             name = self.expect_ident(f"{what} attribute")
             if name in names:
-                message = f"duplicate attribute {name!r} in {what} list (ignored)"
-                self.sink.append(ParseDiagnostic(self.line_no, col, Severity.WARNING, message))
-            else:
-                names.append(name)
+                self.sink.append(_duplicate(self.line_no, col, name, what))
+            names.add(name)
             if self.peek() != ",":
-                return names
+                return
             self.take()
+
+    def declaration(self, head: str, head_col: int) -> None:
+        # Only lines _DECLARATION_RE rejects come here: the walk only places their error.
+        if head == "relation":
+            self.expect_ident("relation name")
+            self.expect("(")
+            if self.peek() == ")":
+                self.error("empty attribute list")
+            while True:
+                self.expect_ident("attribute name")
+                if self.peek() == "*":
+                    self.take()
+                if self.peek() != ",":
+                    break
+                self.take()
+            self.expect(")")
+            self.expect("key")
+            self.expect("(")
+            self.ident_list("key")
+            self.expect(")")
+            self.expect_end("relation declaration")
+        elif head == "fd":
+            self.expect_ident("fd label")
+            self.expect(":")
+            self.ident_list("determinant")
+            self.expect("->")
+            self.ident_list("dependent")
+            self.expect_end("fd declaration")
+        else:
+            self.error(f"expected 'schema', 'relation' or 'fd', got {head!r}", head_col)
+
+
+def _duplicate(line_no: int, column: int, name: str, what: str) -> ParseDiagnostic:
+    message = f"duplicate attribute {name!r} in {what} list (ignored)"
+    return ParseDiagnostic(line_no, column, Severity.WARNING, message)
+
+
+def _name_list(
+    sink: list[ParseDiagnostic], line_no: int, match: re.Match[str], group: int, what: str
+) -> tuple[str, ...]:
+    # A matched list's names, once each; every repeat is a warning at its own column.
+    names = _IDENT_RE.findall(match.string, *match.span(group))
+    unique = tuple(dict.fromkeys(names))
+    if len(unique) < len(names):
+        seen: set[str] = set()
+        for m in _IDENT_RE.finditer(match.string, *match.span(group)):
+            if m[0] in seen:
+                sink.append(_duplicate(line_no, m.start() + 1, m[0], what))
+            seen.add(m[0])
+    return unique
 
 
 def parse_schema(text: str) -> ParseResult:
@@ -173,6 +231,21 @@ def parse_schema(text: str) -> ParseResult:
         content = raw.split("#", 1)[0]
         if not content.strip():
             continue
+        match = _DECLARATION_RE.fullmatch(content)
+        # A declaration out of order goes on to the walk below, which reports it.
+        if match and schema_name is not None and (match[4] or not fds):
+            if match[1]:
+                specs = _ATTRIBUTE_RE.findall(content, *match.span(2))
+                attrs = tuple(AttributeSpec(name, not star) for name, star in specs)
+                key = _name_list(diagnostics, line_no, match, 3, "key")
+                relations.append(RelationSchema(match[1], attrs, key))
+                anchors[id(relations[-1])] = (line_no, match.start(1) + 1)
+            else:
+                determinant = _name_list(diagnostics, line_no, match, 5, "determinant")
+                dependents = _name_list(diagnostics, line_no, match, 6, "dependent")
+                fds.append(FunctionalDependency(match[4], determinant, dependents))
+                anchors[id(fds[-1])] = (line_no, match.start(4) + 1)
+            continue
         lp = _LineParser(diagnostics, line_no, content)
         head, head_col = lp.take()
         try:
@@ -185,52 +258,10 @@ def parse_schema(text: str) -> ParseResult:
                 lp.expect_end("schema declaration")
                 schema_name = name
                 schema_anchor = (line_no, head_col)
-            elif head == "relation":
-                if fds:
-                    lp.error(
-                        "relation declarations must come before fd declarations",
-                        head_col,
-                    )
-                name_col = lp.next_col()
-                name = lp.expect_ident("relation name")
-                lp.expect("(")
-                attrs: list[AttributeSpec] = []
-                if lp.peek() == ")":
-                    lp.error("empty attribute list")
-                while True:
-                    attr = lp.expect_ident("attribute name")
-                    atomic = True
-                    if lp.peek() == "*":
-                        lp.take()
-                        atomic = False
-                    attrs.append(AttributeSpec(attr, atomic))
-                    if lp.peek() != ",":
-                        break
-                    lp.take()
-                lp.expect(")")
-                lp.expect("key")
-                lp.expect("(")
-                key = lp.ident_list("key")
-                lp.expect(")")
-                lp.expect_end("relation declaration")
-                relations.append(RelationSchema(name, tuple(attrs), tuple(key)))
-                anchors[id(relations[-1])] = (line_no, name_col)
-            elif head == "fd":
-                label_col = lp.next_col()
-                label = lp.expect_ident("fd label")
-                lp.expect(":")
-                determinant = lp.ident_list("determinant")
-                lp.expect("->")
-                dependents = lp.ident_list("dependent")
-                lp.expect_end("fd declaration")
-                fds.append(
-                    FunctionalDependency(label, tuple(determinant), tuple(dependents))
-                )
-                anchors[id(fds[-1])] = (line_no, label_col)
+            elif head == "relation" and fds:
+                lp.error("relation declarations must come before fd declarations", head_col)
             else:
-                lp.error(
-                    f"expected 'schema', 'relation' or 'fd', got {head!r}", head_col
-                )
+                lp.declaration(head, head_col)
         except _LineError:
             continue
 

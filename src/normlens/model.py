@@ -4,7 +4,8 @@ All values are immutable. Constructors canonicalize their collection
 arguments (tuples, duplicate removal where set semantics apply) but do not
 enforce semantic rules; ``validate_schema`` reports every violation as data
 so callers can surface all problems at once. Analysis entry points assume a
-schema that validated without errors.
+schema that validated without errors. Sets and name tuples derived from the
+fields are plain attributes built once, left out of ==, hash, repr and fields().
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class FunctionalDependency:
 
     Attribute order is kept as written so reports and decompositions can echo
     the input; comparisons that need set semantics go through the ``*_set``
-    properties.
+    attributes, and ``attributes`` holds every attribute on both sides.
     """
 
     label: str
@@ -78,19 +79,9 @@ class FunctionalDependency:
     def __post_init__(self) -> None:
         object.__setattr__(self, "determinant", _ordered_names(self.determinant))
         object.__setattr__(self, "dependents", _ordered_names(self.dependents))
-
-    @property
-    def determinant_set(self) -> frozenset[str]:
-        return frozenset(self.determinant)
-
-    @property
-    def dependents_set(self) -> frozenset[str]:
-        return frozenset(self.dependents)
-
-    @property
-    def attributes(self) -> frozenset[str]:
-        """Every attribute the dependency mentions, both sides."""
-        return self.determinant_set | self.dependents_set
+        object.__setattr__(self, "determinant_set", frozenset(self.determinant))
+        object.__setattr__(self, "dependents_set", frozenset(self.dependents))
+        object.__setattr__(self, "attributes", frozenset(self.determinant + self.dependents))
 
     def __str__(self) -> str:
         return (
@@ -114,18 +105,9 @@ class RelationSchema:
         )
         object.__setattr__(self, "attributes", specs)
         object.__setattr__(self, "primary_key", _ordered_names(self.primary_key))
-
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(spec.name for spec in self.attributes)
-
-    @property
-    def attribute_set(self) -> frozenset[str]:
-        return frozenset(self.attribute_names)
-
-    @property
-    def primary_key_set(self) -> frozenset[str]:
-        return frozenset(self.primary_key)
+        object.__setattr__(self, "attribute_names", tuple(spec.name for spec in specs))
+        object.__setattr__(self, "attribute_set", frozenset(self.attribute_names))
+        object.__setattr__(self, "primary_key_set", frozenset(self.primary_key))
 
     def heading(self) -> str:
         """Render as ``Name(attr1, attr2, ...)``."""

@@ -12,7 +12,8 @@ from normlens import (
     relation_nc,
 )
 
-from corpus import build_corpus, fd
+from corpus import build_corpus, build_multi_corpus, fd
+from oracles import brute_force_normal_form
 
 PRIMARY = ClassificationMode.PRIMARY
 STRICT = ClassificationMode.STRICT
@@ -146,3 +147,36 @@ def test_bcnf_iff_no_preventing_dependency():
         is_bcnf = relation_nc(rel, schema.fds).normal_form is NormalForm.BCNF
         no_preventing = not partition_preventing(rel, schema.fds).preventing
         assert is_bcnf == no_preventing
+
+
+@pytest.mark.parametrize(
+    "relation, fds, primary, strict",
+    [
+        # Strict: d is non-prime (keys {a, b} and {b, c}) and a reaches it only
+        # through the prime c, so no listed FD from a proper subset of a key
+        # determines it. Primary: c is outside the declared key.
+        (RelationSchema("R", ("a", "b", "c", "d"), ("a", "b")),
+         (fd("F1", "a", "c"), fd("F2", "b c", "a"), fd("F3", "a c", "d")),
+         NormalForm.FIRST, NormalForm.FIRST),
+        # a, e -> d: a non-superkey determinant that shares a with the only key.
+        (RelationSchema("R", ("a", "b", "e", "d"), ("a", "b")),
+         (fd("F1", "a b", "e"), fd("F2", "a e", "d")),
+         NormalForm.THIRD, NormalForm.SECOND),
+    ],
+    ids=["2nf-through-a-chain", "3nf-determinant-overlapping-the-key"],
+)
+def test_textbook_cases_in_both_modes(relation, fds, primary, strict):
+    assert relation_nc(relation, fds, PRIMARY).normal_form is primary
+    assert relation_nc(relation, fds, STRICT).normal_form is strict
+    assert brute_force_normal_form(relation, fds, strict=False) == primary
+    assert brute_force_normal_form(relation, fds, strict=True) == strict
+
+
+def test_both_modes_match_the_brute_force_normal_form_oracle():
+    schemas = [schema for schema, _keys in build_corpus(500)] + build_multi_corpus(100)
+    for schema in schemas:
+        for rel in schema.relations:
+            projected = schema.projected_fds(rel)
+            for mode in (PRIMARY, STRICT):
+                expected = brute_force_normal_form(rel, projected, strict=mode is STRICT)
+                assert relation_nc(rel, schema.fds, mode).normal_form == expected, (rel, mode)

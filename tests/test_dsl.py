@@ -3,9 +3,10 @@ from __future__ import annotations
 import json
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normlens import (
@@ -14,6 +15,7 @@ from normlens import (
     RelationSchema,
     Schema,
     Severity,
+    ValidationReport,
     emit_report,
     emit_schema,
     normalize_to_bcnf,
@@ -191,6 +193,63 @@ def test_diagnostics_point_inside_the_text_on_token_fuzz(text):
         assert 1 <= diag.line <= max(1, len(lines))
         line = lines[diag.line - 1] if lines else ""
         assert 1 <= diag.column <= len(line) + 1
+
+
+_NAME = st.sampled_from(["a", "b", "a", "R", "F1", "_x9", "key", "fd", "relation"])
+_NAMES = st.lists(_NAME, min_size=1, max_size=4).map(lambda names: " , ".join(names).split(" "))
+_ATTRS = st.lists(st.tuples(_NAME, st.sampled_from([[], ["*"]])), min_size=1, max_size=4).map(
+    lambda attrs: [token for i, (name, star) in enumerate(attrs) for token in [","][:i] + [name] + star]
+)
+_RELATION_TOKENS = st.tuples(_NAME, _ATTRS, _NAMES).map(
+    lambda parts: ["relation", parts[0], "(", *parts[1], ")", "key", "(", *parts[2], ")"]
+)
+_FD_TOKENS = st.tuples(_NAME, _NAMES, _NAMES).map(
+    lambda parts: ["fd", parts[0], ":", *parts[1], "->", *parts[2]]
+)
+# "" between two names runs them together; \x0c and \x85 are whitespace too.
+_GAP = st.sampled_from(["", " ", " ", "\t", "\x0c", "\x85", " \t "])
+
+
+@settings(max_examples=1000)
+@given(st.one_of(_RELATION_TOKENS, _FD_TOKENS), st.data())
+def test_the_line_match_accepts_exactly_what_the_token_walk_accepts(tokens, data):
+    # Well-formed declarations, some broken by one token dropped, added or swapped.
+    edit = data.draw(st.sampled_from(["none", "none", "drop", "add", "swap"]))
+    at = data.draw(st.integers(0, len(tokens) - 1))
+    token = data.draw(st.sampled_from([t for t in DSL_TOKENS[:16] if t != "#"] + ["é", "9z"]))
+    if edit == "drop":
+        del tokens[at]
+    elif edit == "add":
+        tokens.insert(at, token)
+    elif edit == "swap":
+        tokens[at] = token
+    gaps = data.draw(st.lists(_GAP, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    content = "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1]
+    assume(content.strip())
+
+    walk: list[dsl.ParseDiagnostic] = []
+    walker = dsl._LineParser(walk, 1, content)
+    try:
+        walker.declaration(*walker.take())
+    except dsl._LineError:
+        pass
+    matched = dsl._DECLARATION_RE.fullmatch(content) is not None
+    assert matched == (not any(d.severity is Severity.ERROR for d in walk)), content
+    if not matched:
+        return
+    # Read without validation, so every matched declaration comes back.
+    comment = data.draw(st.sampled_from(["", "#", "# x, y) ->", "\t# key(a)"]))
+    text = "schema s\nrelation S(a) key(a)\n" + content + comment
+    with mock.patch.object(dsl, "validate_schema", lambda schema: ValidationReport(())):
+        result = parse_schema(text)
+    # Both report the same repeated-name warnings, at the same columns.
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
+        (3, d.column, d.message) for d in walk
+    ]
+    # Without repeats, the declaration keeps every character of the line but whitespace.
+    if not walk:
+        built = emit_schema(result.schema).splitlines()[-1]
+        assert "".join(built.split()) == "".join(content.split())
 
 
 _HEAD = "schema s\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 
@@ -47,9 +48,62 @@ def test_fd_canonicalizes_order_and_duplicates():
 
 
 def test_fd_set_input_is_sorted_for_determinism():
-    dep = FunctionalDependency("F1", {"b", "a"}, {"d", "c"})
-    assert dep.determinant == ("a", "b")
-    assert dep.dependents == ("c", "d")
+    for unordered in (set, frozenset):
+        dep = FunctionalDependency("F1", unordered({"b", "a"}), unordered({"d", "c"}))
+        assert dep.determinant == ("a", "b")
+        assert dep.dependents == ("c", "d")
+        # Six names, so hash order passes for sorted once in 720 runs at most.
+        rel = RelationSchema("R", tuple("abcdef"), unordered("fbdcea"))
+        assert rel.primary_key == tuple("abcdef")
+
+
+def test_derived_values_stay_out_of_fields_equality_hash_and_repr():
+    dep = FunctionalDependency("F1", ("b", "a"), ("c",))
+    assert [f.name for f in dataclasses.fields(dep)] == ["label", "determinant", "dependents"]
+    assert repr(dep) == "FunctionalDependency(label='F1', determinant=('b', 'a'), dependents=('c',))"
+    assert hash(dep) == hash(("F1", ("b", "a"), ("c",)))
+    assert dep == FunctionalDependency("F1", ["b", "a", "b"], "c")
+    assert dep != FunctionalDependency("F1", ("a", "b"), ("c",))  # order is part of the value
+    assert (dep.determinant_set, dep.dependents_set) == ({"a", "b"}, {"c"})
+    assert dep.attributes == {"a", "b", "c"}
+
+    rel = RelationSchema("R", ("b", AttributeSpec("a", atomic=False)), ("b",))
+    assert [f.name for f in dataclasses.fields(rel)] == ["name", "attributes", "primary_key"]
+    assert repr(rel) == (
+        "RelationSchema(name='R', attributes=(AttributeSpec(name='b', atomic=True),"
+        " AttributeSpec(name='a', atomic=False)), primary_key=('b',))"
+    )
+    assert hash(rel) == hash(("R", (AttributeSpec("b"), AttributeSpec("a", False)), ("b",)))
+    assert rel == RelationSchema("R", (AttributeSpec("b"), AttributeSpec("a", False)), "b")
+    assert (rel.attribute_names, rel.attribute_set, rel.primary_key_set) == (
+        ("b", "a"), {"a", "b"}, {"b"}
+    )
+
+
+@pytest.mark.parametrize(
+    "obj, name",
+    [
+        (FunctionalDependency("F1", ("a",), ("b",)), "determinant_set"),
+        (FunctionalDependency("F1", ("a",), ("b",)), "dependents_set"),
+        (FunctionalDependency("F1", ("a",), ("b",)), "attributes"),
+        (RelationSchema("R", ("a",), ("a",)), "attribute_names"),
+        (RelationSchema("R", ("a",), ("a",)), "attribute_set"),
+        (RelationSchema("R", ("a",), ("a",)), "primary_key_set"),
+    ],
+)
+def test_derived_values_are_read_only(obj, name):
+    before = getattr(obj, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, frozenset({"z"}))
+    assert getattr(obj, name) == before
+
+
+def test_replace_recomputes_the_derived_values():
+    dep = dataclasses.replace(FunctionalDependency("F1", ("a",), ("b",)), dependents=("c", "d"))
+    assert (dep.dependents_set, dep.attributes) == ({"c", "d"}, {"a", "c", "d"})
+    rel = dataclasses.replace(RelationSchema("R", ("a", "b"), ("a",)), attributes=("x", "y"))
+    assert (rel.attribute_names, rel.attribute_set) == (("x", "y"), {"x", "y"})
+    assert dataclasses.replace(rel, primary_key=("y",)).primary_key_set == {"y"}
 
 
 def test_relation_schema_accepts_bare_names():
