@@ -5,105 +5,59 @@ split its functional dependencies into preventing and non-preventing sets,
 score how close each relation is to the next normal form (exact rational
 arithmetic throughout), and decompose step by step until every relation
 reaches BCNF.
+
+``import normlens`` loads no submodule: each exported name is looked up in
+its home module on first access, so a caller pays only for what it uses.
 """
 
 from __future__ import annotations
 
-from .classify import (
-    ClassificationMode,
-    FDPartition,
-    partition_preventing,
-)
-from .completeness import (
-    RelationNC,
-    SchemaNC,
-    fuzzy_membership,
-    relation_nc,
-    schema_nc,
-    truncated,
-)
-from .dsl import (
-    ParseDiagnostic,
-    ParseResult,
-    emit_report,
-    emit_schema,
-    parse_schema,
-)
-from .errors import (
-    AlreadyBCNFError,
-    CapacityError,
-    DecompositionError,
-    ForeignAttributeError,
-    NormlensError,
-    UnknownRelationError,
-)
-from .fd import (
-    DEFAULT_KEY_CAP,
-    candidate_keys,
-    closure,
-    is_superkey,
-    project_fds,
-)
-from .model import (
-    AttributeSpec,
-    FunctionalDependency,
-    NormalForm,
-    RelationSchema,
-    Schema,
-    Severity,
-    ValidationReport,
-    Violation,
-    normalize_fds,
-    validate_schema,
-)
-from .transform import (
-    TransformStep,
-    TransformTrace,
-    decompose_step,
-    normalize_to_bcnf,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlreadyBCNFError",
-    "AttributeSpec",
-    "CapacityError",
-    "ClassificationMode",
-    "DEFAULT_KEY_CAP",
-    "DecompositionError",
-    "FDPartition",
-    "ForeignAttributeError",
-    "FunctionalDependency",
-    "NormalForm",
-    "NormlensError",
-    "ParseDiagnostic",
-    "ParseResult",
-    "RelationNC",
-    "RelationSchema",
-    "Schema",
-    "SchemaNC",
-    "Severity",
-    "TransformStep",
-    "TransformTrace",
-    "UnknownRelationError",
-    "ValidationReport",
-    "Violation",
-    "candidate_keys",
-    "closure",
-    "decompose_step",
-    "emit_report",
-    "emit_schema",
-    "fuzzy_membership",
-    "is_superkey",
-    "normalize_fds",
-    "normalize_to_bcnf",
-    "parse_schema",
-    "partition_preventing",
-    "project_fds",
-    "relation_nc",
-    "schema_nc",
-    "truncated",
-    "validate_schema",
-    "__version__",
-]
+# Every exported name, under the module that defines it.
+_EXPORTS = {
+    "classify": ("FDPartition", "partition_preventing"),
+    "completeness": ("RelationNC", "SchemaNC", "fuzzy_membership", "relation_nc", "schema_nc"),
+    "dsl": ("ParseDiagnostic", "ParseResult", "emit_report", "emit_schema", "parse_schema"),
+    "errors": (
+        "AlreadyBCNFError",
+        "CapacityError",
+        "DecompositionError",
+        "ForeignAttributeError",
+        "NormlensError",
+        "UnknownRelationError",
+    ),
+    "fd": ("DEFAULT_KEY_CAP", "candidate_keys", "closure", "is_superkey", "project_fds"),
+    "model": (
+        "AttributeSpec",
+        "ClassificationMode",
+        "FunctionalDependency",
+        "NormalForm",
+        "RelationSchema",
+        "Schema",
+        "Severity",
+        "ValidationReport",
+        "Violation",
+        "normalize_fds",
+        "truncated",
+        "validate_schema",
+    ),
+    "transform": ("TransformStep", "TransformTrace", "decompose_step", "normalize_to_bcnf"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_HOME), "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    # Read from the home module on every access and never cached here, so a
+    # name rebound there (as a tracer does) is what this package returns too.
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -24,16 +24,10 @@ sets, so classification has two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .fd import DEFAULT_KEY_CAP, candidate_keys, closure, is_superkey, project_fds
-from .model import FunctionalDependency, NormalForm, RelationSchema, normalize_fds
-
-
-class ClassificationMode(Enum):
-    PRIMARY = "primary"
-    STRICT = "strict"
+from .model import ClassificationMode, FunctionalDependency, NormalForm, RelationSchema, normalize_fds
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,11 @@ import os
 import sys
 from typing import Sequence
 
-from .classify import ClassificationMode
-from .completeness import schema_nc
 from .dsl import ParseResult, _dumps, emit_report, parse_schema
 from .errors import CapacityError, DecompositionError
 from .fd import DEFAULT_KEY_CAP, candidate_keys
 # normalize_fds is unused here, but bench/tests checks that the tracer patches it here.
-from .model import Schema, Severity, normalize_fds  # noqa: F401
-from .transform import normalize_to_bcnf
+from .model import ClassificationMode, Schema, Severity, normalize_fds  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -188,8 +185,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif result.schema is None:
             return code
         elif args.command == "analyze":
+            from .completeness import schema_nc  # each command loads only what it runs
+
             out = emit_report(schema_nc(result.schema, mode, key_cap=args.key_cap), args.format)
         elif args.command == "normalize":
+            from .transform import normalize_to_bcnf
+
             trace = normalize_to_bcnf(result.schema, mode, key_cap=args.key_cap)
             out = emit_report(trace, args.format, dsl_snapshots=args.trace)
         else:

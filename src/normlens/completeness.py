@@ -18,25 +18,20 @@ the only place precision is lost is the two-decimal display truncation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .classify import (
-    ClassificationMode,
-    FDPartition,
-    classify_partition,
-    partition_preventing,
-)
+from .classify import FDPartition, classify_partition, partition_preventing
 from .fd import DEFAULT_KEY_CAP
-from .model import FunctionalDependency, NormalForm, RelationSchema, Schema
-
-
-def truncated(value: Fraction) -> str:
-    """Two-decimal truncation: 0.625 -> '0.62', 5/7 -> '0.71'. Floor, not round."""
-    hundredths = math.floor(value * 100)
-    return f"{hundredths // 100}.{hundredths % 100:02d}"
+from .model import (
+    ClassificationMode,
+    FunctionalDependency,
+    NormalForm,
+    RelationSchema,
+    Schema,
+    truncated,
+)
 
 
 def fuzzy_membership(completeness: int, preventing: int, total: int) -> Fraction:

@@ -25,22 +25,27 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Container
+from typing import TYPE_CHECKING, Any, Callable, Container
 
-from .classify import ClassificationMode, FDPartition
-from .completeness import RelationNC, SchemaNC, truncated
 from .model import (
     IDENTIFIER,
     AttributeSpec,
+    ClassificationMode,
     FunctionalDependency,
     RelationSchema,
     Schema,
     Severity,
+    truncated,
     validate_schema,
 )
-from .transform import TransformTrace
+
+if TYPE_CHECKING:  # parsing needs none of these; emit_report imports what it renders
+    from fractions import Fraction
+
+    from .classify import FDPartition
+    from .completeness import RelationNC, SchemaNC
+    from .transform import TransformTrace
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _LIST = rf"{_IDENT}(?:\s*,\s*{_IDENT})*"
@@ -566,13 +571,17 @@ def emit_report(
     """
     if format not in ("text", "structured"):
         raise ValueError(f"unknown report format {format!r}")
+    from .completeness import SchemaNC
+
     if isinstance(report, SchemaNC):
         kind, as_dict, as_text = "schema_nc", _schema_nc_dict, _text_schema_nc
-    elif isinstance(report, TransformTrace):
+    else:
+        from .transform import TransformTrace
+
+        if not isinstance(report, TransformTrace):
+            raise TypeError(f"cannot render {type(report).__name__} as a report")
         kind, as_dict = "transform_trace", _trace_dict
         as_text = functools.partial(_text_trace, dsl_snapshots=dsl_snapshots)
-    else:
-        raise TypeError(f"cannot render {type(report).__name__} as a report")
     if format == "structured":
         memo = _Memo()
         tree = {"kind": kind, **as_dict(report, memo)}

@@ -6,18 +6,24 @@ enforce semantic rules; ``validate_schema`` reports every violation as data
 so callers can surface all problems at once. Analysis entry points assume a
 schema that validated without errors. Sets and name tuples derived from the
 fields are plain attributes built once, left out of ==, hash, repr and fields().
+``ClassificationMode`` and ``truncated`` live here, so that parsing and
+rendering load no scoring module.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .fd import is_superkey, project_fds
+
+if TYPE_CHECKING:  # only completeness builds scores
+    from fractions import Fraction
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -43,6 +49,19 @@ _NF_LABELS = {
     NormalForm.THIRD: "3NF",
     NormalForm.BCNF: "BCNF",
 }
+
+
+def truncated(value: Fraction) -> str:
+    """Two-decimal truncation: 0.625 -> '0.62', 5/7 -> '0.71'. Floor, not round."""
+    hundredths = math.floor(value * 100)
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
+
+
+class ClassificationMode(Enum):
+    """Keys that judge partial and transitive dependencies (see ``classify``)."""
+
+    PRIMARY = "primary"
+    STRICT = "strict"
 
 
 def _ordered_names(names: Iterable[str] | str) -> tuple[str, ...]:

@@ -16,11 +16,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .classify import ClassificationMode
 from .completeness import SchemaNC, relation_nc, schema_nc
 from .errors import AlreadyBCNFError, DecompositionError, UnknownRelationError
 from .fd import DEFAULT_KEY_CAP
-from .model import NormalForm, RelationSchema, Schema, normalize_fds
+from .model import ClassificationMode, NormalForm, RelationSchema, Schema, normalize_fds
 
 
 @dataclass(frozen=True)

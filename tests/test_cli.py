@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -366,10 +367,11 @@ def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, via):
 
 # -S keeps site from running .pth files, which import installed packages.
 _IMPORTS_OUTSIDE_STDLIB = """
-import sys
+import importlib, sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
-import normlens.cli, normlens.__main__
+for name in sys.argv[2:]:
+    importlib.import_module(name)
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(sorted(loaded - set(sys.stdlib_module_names) - {"normlens"}))
 # The tool reads a file with open() and spells out its letters.
@@ -378,8 +380,11 @@ print(sorted(loaded & {"pathlib", "string"}))
 
 
 def test_the_cli_imports_nothing_outside_the_standard_library():
+    package = REPO_ROOT / "src" / "normlens"
+    modules = [f"normlens.{path.stem}" for path in sorted(package.glob("*.py"))]
+    assert {"normlens.__main__", "normlens.cli", "normlens.transform"} <= set(modules)
     done = subprocess.run(
-        [sys.executable, "-S", "-c", _IMPORTS_OUTSIDE_STDLIB, str(REPO_ROOT / "src")],
+        [sys.executable, "-S", "-c", _IMPORTS_OUTSIDE_STDLIB, str(REPO_ROOT / "src"), *modules],
         capture_output=True,
         text=True,
         check=False,
@@ -388,7 +393,78 @@ def test_the_cli_imports_nothing_outside_the_standard_library():
     assert done.stdout == "[]\n[]\n"
 
 
-def test_every_exported_name_resolves_once():
+def test_every_exported_name_resolves_once(monkeypatch):
     exported = normlens.__all__
     assert len(exported) == len(set(exported))
     assert [name for name in exported if not hasattr(normlens, name)] == []
+    # Each name is its home module's object, read there on every access.
+    assert set(exported) == {*normlens._HOME, "__version__"}
+    for name, module in normlens._HOME.items():
+        home = importlib.import_module(f"normlens.{module}")
+        value = getattr(normlens, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+    replacement = object()
+    monkeypatch.setattr(normlens.fd, "closure", replacement)
+    assert normlens.closure is replacement
+
+
+# Runs "python -m normlens <argv>", then prints the modules that run loaded.
+_LOADED_BY_COMMAND = """
+import runpy, sys
+try:
+    runpy.run_module("normlens", run_name="__main__")
+except SystemExit:
+    pass
+print(" ".join(sorted(sys.modules)))
+"""
+_SCORING = {"fractions", "normlens.classify", "normlens.completeness", "normlens.transform"}
+
+
+def loaded_modules(*code: str) -> set[str]:
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", *code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = loaded_modules("import sys, normlens; print(' '.join(sys.modules))")
+    assert "normlens" in loaded
+    assert {name for name in loaded if name.startswith("normlens.")} == set()
+
+
+@pytest.mark.parametrize(
+    "command, unused",
+    [
+        ("check", _SCORING),
+        ("keys", _SCORING),
+        ("analyze", {"normlens.transform"}),
+        ("normalize", set()),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(command, unused):
+    loaded = loaded_modules(_LOADED_BY_COMMAND, command, FIXTURE)
+    assert {"normlens.cli", "normlens.dsl", "normlens.model"} <= loaded
+    assert loaded & unused == set()
+    assert _SCORING - unused <= loaded
+
+
+def test_the_package_surface_is_complete_and_never_cached():
+    for module in normlens._HOME.values():
+        importlib.import_module(f"normlens.{module}")
+    before = dict(vars(normlens))
+    namespace: dict[str, object] = {}
+    exec("from normlens import *", namespace)
+    assert set(normlens.__all__) <= set(namespace)
+    assert set(normlens.__all__) <= set(dir(normlens))
+    assert not hasattr(normlens, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        normlens.no_such_name  # noqa: B018
+    assert vars(normlens) == before
+    assert set(vars(normlens)) & set(normlens.__all__) == {"__version__"}
