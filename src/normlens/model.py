@@ -137,8 +137,9 @@ class RelationSchema:
 class Schema:
     """Named collection of relations sharing one global labeled FD list.
 
-    ``fds`` stays as written; its singleton form and attribute index are built
-    on first use and shared by ``with_relations``.
+    ``fds`` stays as written; its singleton form, attribute index and the
+    projection onto each heading are built on first use and shared by
+    ``with_relations``.
     """
 
     name: str
@@ -156,20 +157,32 @@ class Schema:
         return derived
 
     @cached_property
-    def _fd_index(self) -> tuple[tuple[FunctionalDependency, ...], dict[str | None, list[int]]]:
+    def _fd_index(self) -> tuple[
+        tuple[FunctionalDependency, ...],
+        dict[str | None, list[int]],
+        dict[frozenset[str], tuple[FunctionalDependency, ...]],
+    ]:
         # A singleton fits only headings holding its anchor attribute (if any).
         singletons = normalize_fds(self.fds)
         index: dict[str | None, list[int]] = {}
         for position, fd in enumerate(singletons):
             index.setdefault(next(iter(fd.determinant + fd.dependents), None), []).append(position)
-        return singletons, index
+        return singletons, index, {}
 
     def projected_fds(self, relation: RelationSchema) -> tuple[FunctionalDependency, ...]:
-        """``project_fds(normalize_fds(self.fds), ...)``, scanning only anchored FDs."""
-        singletons, index = self._fd_index
+        """``project_fds(normalize_fds(self.fds), ...)``, scanning only anchored FDs.
+
+        A projection depends only on the heading, so each is computed once.
+        """
+        singletons, index, projections = self._fd_index
         attrs = relation.attribute_set
-        anchored = itertools.chain.from_iterable(index.get(a, ()) for a in (None, *attrs))
-        return project_fds([singletons[position] for position in sorted(anchored)], attrs)
+        projected = projections.get(attrs)
+        if projected is None:
+            anchored = itertools.chain.from_iterable(index.get(a, ()) for a in (None, *attrs))
+            projected = projections[attrs] = project_fds(
+                [singletons[position] for position in sorted(anchored)], attrs
+            )
+        return projected
 
 
 def _letter_suffixes() -> Iterator[str]:
@@ -261,6 +274,15 @@ def validate_schema(schema: Schema) -> ValidationReport:
     order-independent: permuting relations or FDs yields the same findings.
     """
     out: list[Violation] = []
+    universe = frozenset().union(*(rel.attribute_set for rel in schema.relations))
+    # Names repeat across declarations, so each distinct one is matched once.
+    names = universe.union(
+        (schema.name,),
+        (rel.name for rel in schema.relations),
+        (fd.label for fd in schema.fds),
+        *(fd.attributes for fd in schema.fds),
+    )
+    bad_names = {name for name in names if not IDENTIFIER.match(name or "")}
 
     def err(
         code: str, message: str, subject: _Subject = None, severity: Severity = Severity.ERROR
@@ -269,12 +291,12 @@ def validate_schema(schema: Schema) -> ValidationReport:
         fd_label = subject.label if isinstance(subject, FunctionalDependency) else None
         out.append(Violation(code, message, severity, relation, fd_label, subject))
 
-    if not IDENTIFIER.match(schema.name or ""):
+    if schema.name in bad_names:
         err("BAD_SCHEMA_NAME", f"schema name {schema.name!r} is not an identifier")
 
     seen_relations: set[str] = set()
     for rel in schema.relations:
-        if not IDENTIFIER.match(rel.name or ""):
+        if rel.name in bad_names:
             err("BAD_RELATION_NAME", f"relation name {rel.name!r} is not an identifier", rel)
         if rel.name in seen_relations:
             err("DUPLICATE_RELATION_NAME", f"relation name {rel.name!r} declared more than once", rel)
@@ -284,7 +306,7 @@ def validate_schema(schema: Schema) -> ValidationReport:
             err("EMPTY_RELATION", f"relation {rel.name!r} has no attributes", rel)
         seen_attrs: set[str] = set()
         for spec in rel.attributes:
-            if not IDENTIFIER.match(spec.name or ""):
+            if spec.name in bad_names:
                 err(
                     "BAD_ATTRIBUTE_NAME",
                     f"attribute name {spec.name!r} in relation {rel.name!r} is not an identifier",
@@ -308,10 +330,9 @@ def validate_schema(schema: Schema) -> ValidationReport:
                 rel,
             )
 
-    universe = frozenset().union(*(rel.attribute_set for rel in schema.relations))
     seen_labels: set[str] = set()
     for fd in schema.fds:
-        if not IDENTIFIER.match(fd.label or ""):
+        if fd.label in bad_names:
             err("BAD_FD_LABEL", f"fd label {fd.label!r} is not an identifier", fd)
         if fd.label in seen_labels:
             err("DUPLICATE_FD_LABEL", f"fd label {fd.label!r} used more than once", fd)
@@ -322,7 +343,7 @@ def validate_schema(schema: Schema) -> ValidationReport:
         if not fd.dependents:
             err("EMPTY_DEPENDENTS", f"fd {fd.label!r} has an empty dependent list", fd)
         for name in (*fd.determinant, *fd.dependents):
-            if not IDENTIFIER.match(name or ""):
+            if name in bad_names:
                 err(
                     "BAD_ATTRIBUTE_NAME",
                     f"attribute name {name!r} in fd {fd.label!r} is not an identifier",

@@ -5,7 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from normlens import Schema, TransformStep, decompose_step, parse_schema, schema_nc
+from normlens import (
+    FunctionalDependency,
+    RelationSchema,
+    Schema,
+    TransformStep,
+    decompose_step,
+    parse_schema,
+    schema_nc,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CASE_STUDY_PATH = REPO_ROOT / "case_study.nls"
@@ -18,6 +26,27 @@ CASE_STUDY_RENAMES = {
     "StaffInspection_staffNo": "Staff",
     "StaffInspection": "Inspection",
 }
+
+
+def fixture_copies(schema: Schema, copies: int) -> Schema:
+    """``copies`` renamed copies of the one-relation fixture, one shared FD list."""
+    (rel,) = schema.relations
+
+    def tag(names: tuple[str, ...], copy: int) -> tuple[str, ...]:
+        return tuple(f"{name}_{copy}" for name in names)
+
+    return Schema(
+        "Copies",
+        tuple(
+            RelationSchema(f"{rel.name}_{c}", tag(rel.attribute_names, c), tag(rel.primary_key, c))
+            for c in range(copies)
+        ),
+        tuple(
+            FunctionalDependency(f"{item.label}_{c}", tag(item.determinant, c), tag(item.dependents, c))
+            for c in range(copies)
+            for item in schema.fds
+        ),
+    )
 
 
 @pytest.fixture(scope="session")

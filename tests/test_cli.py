@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -21,7 +22,7 @@ from normlens import emit_schema
 from normlens.cli import build_parser, main
 from normlens.fd import DEFAULT_KEY_CAP
 
-from conftest import CASE_STUDY_PATH, REPO_ROOT
+from conftest import CASE_STUDY_PATH, REPO_ROOT, fixture_copies
 from corpus import random_multi_relation_schema
 
 FIXTURE = str(CASE_STUDY_PATH)
@@ -468,3 +469,78 @@ def test_the_package_surface_is_complete_and_never_cached():
         normlens.no_such_name  # noqa: B018
     assert vars(normlens) == before
     assert set(vars(normlens)) & set(normlens.__all__) == {"__version__"}
+
+
+# The process entry turns the collector off for the whole run (normlens.__main__).
+# That is safe only while a run builds no cycles whose number grows with its input.
+_GC_ARGV = [
+    [*command, "--mode", mode, "--format", format]
+    for command in COMMANDS
+    for mode in ("primary", "strict")
+    for format in ("text", "structured")
+]
+_BROKEN_LINES = {
+    "syntax error": "relation R(a key(a)\n",
+    "unknown fd attribute": "fd Stray: nowhere -> elsewhere\n",
+}
+
+
+def cyclic_garbage(argv, text):
+    """Unreachable objects in cycles that one ``cli.main`` run leaves behind."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        code, _out = run_on_stdin(argv, text)
+        return code, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_run_leaves_no_more_cyclic_garbage_on_a_larger_input(case_study):
+    small = CASE_STUDY_PATH.read_text(encoding="utf-8")
+    large = emit_schema(fixture_copies(case_study, 40))
+    cases = [(argv, "") for argv in _GC_ARGV]
+    cases += [(["analyze", "--mode", "strict", "--key-cap", "3"], "")]
+    cases += [(argv, line) for line in _BROKEN_LINES.values() for argv in (["check"], ["analyze"])]
+    codes = set()
+    for argv, broken in cases:
+        code, garbage = cyclic_garbage(argv, small + broken)
+        assert cyclic_garbage(argv, large + broken) == (code, garbage), argv
+        codes.add(code)
+    assert codes == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_in_process_entry_leaves_the_collector_as_it_found_it(capsys, enabled):
+    frozen = gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for command in COMMANDS:
+            assert run(capsys, *command, FIXTURE)[0] == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen), command
+    finally:
+        gc.enable()
+
+
+_RUN_AS_MAIN = """
+import gc, runpy, sys
+try:
+    runpy.run_module("normlens", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)
+"""
+
+
+def test_the_process_entry_pauses_the_collector_and_freezes_the_heap():
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN, "analyze", FIXTURE],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        check=False,
+    )
+    golden = REPO_ROOT / "tests" / "golden" / "case_study.analyze.text.out"
+    assert done.stdout == golden.read_bytes()
+    assert done.stderr == b"0 False True\n"
+    assert done.returncode == 0

@@ -25,9 +25,8 @@ from normlens import (
 )
 from normlens import dsl
 
-from conftest import CASE_STUDY_PATH
+from conftest import CASE_STUDY_PATH, fixture_copies
 from corpus import build_corpus, fd
-from test_transform import _fixture_copies
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -489,7 +488,7 @@ def test_the_encoder_rejects_what_reports_never_hold(tree):
 
 @pytest.mark.parametrize("mode", list(ClassificationMode))
 def test_a_structured_trace_builds_each_score_once(case_study, monkeypatch, mode):
-    trace = normalize_to_bcnf(_fixture_copies(case_study, 8), mode)
+    trace = normalize_to_bcnf(fixture_copies(case_study, 8), mode)
     calls = []
     original = dsl._relation_nc_dict
 
@@ -507,7 +506,7 @@ def test_a_structured_trace_builds_each_score_once(case_study, monkeypatch, mode
 
 
 def test_a_text_trace_renders_the_shared_fd_block_once(case_study, monkeypatch):
-    trace = normalize_to_bcnf(_fixture_copies(case_study, 8))
+    trace = normalize_to_bcnf(fixture_copies(case_study, 8))
     calls = []
     original = dsl._fd_line
 

@@ -3,9 +3,11 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+from collections import Counter
 
 import pytest
 
+import normlens.model
 from normlens import (
     AttributeSpec,
     FunctionalDependency,
@@ -367,6 +369,60 @@ def test_validation_is_order_independent(case_study):
         assert frozenset(validate_schema(permuted).violations) == baseline
     # Idempotent as well: validating twice yields the same report.
     assert validate_schema(broken) == validate_schema(broken)
+
+
+def test_validation_matches_each_distinct_name_once(case_study, monkeypatch):
+    matched = Counter()
+    identifier = normlens.model.IDENTIFIER
+
+    class Counting:
+        def match(self, name):
+            matched[name] += 1
+            return identifier.match(name)
+
+    monkeypatch.setattr(normlens.model, "IDENTIFIER", Counting())
+    assert validate_schema(case_study).ok
+    names = {
+        case_study.name,
+        *(rel.name for rel in case_study.relations),
+        *(name for rel in case_study.relations for name in rel.attribute_names),
+        *(item.label for item in case_study.fds),
+        *(name for item in case_study.fds for name in item.attributes),
+    }
+    assert matched == Counter(names)
+    # A bad name is still reported at every declaration that uses it.
+    matched.clear()
+    relation = RelationSchema("R", ("a", "b-c"), ("a",))
+    broken = Schema("s", (relation,), (fd("F1", "a", "b-c"), fd("F2", "b-c", "a")))
+    assert [(v.code, v.relation, v.fd_label) for v in validate_schema(broken).violations] == [
+        ("BAD_ATTRIBUTE_NAME", "R", None),
+        ("BAD_ATTRIBUTE_NAME", None, "F1"),
+        ("BAD_ATTRIBUTE_NAME", None, "F2"),
+    ]
+    assert matched["b-c"] == 1
+
+
+def test_each_heading_is_projected_once_and_shared_by_with_relations(case_study, monkeypatch):
+    calls = []
+    original = normlens.model.project_fds
+
+    def counting(fds, attrs):
+        calls.append(attrs)
+        return original(fds, attrs)
+
+    monkeypatch.setattr(normlens.model, "project_fds", counting)
+    schema = Schema(case_study.name, case_study.relations, case_study.fds)
+    (rel,) = schema.relations
+    projected = schema.projected_fds(rel)
+    assert projected == original(normalize_fds(schema.fds), rel.attribute_set)
+    assert schema.projected_fds(rel) is projected
+    # Same heading under another name, in a schema derived by with_relations.
+    renamed = RelationSchema("Renamed", rel.attributes, rel.primary_key)
+    narrower = RelationSchema("Narrower", ("staffNo", "sName"), ("staffNo",))
+    derived = schema.with_relations((renamed, narrower))
+    assert derived.projected_fds(renamed) is projected
+    assert [item.label for item in derived.projected_fds(narrower)] == ["FD7"]
+    assert calls == [rel.attribute_set, narrower.attribute_set]
 
 
 def test_normalize_fds_splits_multi_attribute_rhs():

@@ -28,7 +28,7 @@ from normlens import (
     schema_nc,
 )
 
-from conftest import CASE_STUDY_RENAMES, REPO_ROOT
+from conftest import CASE_STUDY_RENAMES, REPO_ROOT, fixture_copies
 from corpus import build_corpus, build_multi_corpus, fd
 
 
@@ -361,27 +361,6 @@ def test_a_chain_of_public_steps_is_the_run(mode):
     assert steps_seen > 100
 
 
-def _fixture_copies(schema: Schema, copies: int) -> Schema:
-    """``copies`` renamed copies of the one-relation fixture, one shared FD list."""
-    (rel,) = schema.relations
-
-    def tag(names: tuple[str, ...], copy: int) -> tuple[str, ...]:
-        return tuple(f"{name}_{copy}" for name in names)
-
-    return Schema(
-        "Copies",
-        tuple(
-            RelationSchema(f"{rel.name}_{c}", tag(rel.attribute_names, c), tag(rel.primary_key, c))
-            for c in range(copies)
-        ),
-        tuple(
-            FunctionalDependency(f"{item.label}_{c}", tag(item.determinant, c), tag(item.dependents, c))
-            for c in range(copies)
-            for item in schema.fds
-        ),
-    )
-
-
 @pytest.mark.parametrize("mode", list(ClassificationMode))
 def test_normalize_scores_only_the_relations_each_step_changes(case_study, monkeypatch, mode):
     calls = []
@@ -394,7 +373,7 @@ def test_normalize_scores_only_the_relations_each_step_changes(case_study, monke
     for module in (normlens.completeness, normlens.transform):
         monkeypatch.setattr(module, "relation_nc", counting, raising=False)
     copies = 8
-    trace = normalize_to_bcnf(_fixture_copies(case_study, copies), mode)
+    trace = normalize_to_bcnf(fixture_copies(case_study, copies), mode)
     assert len(trace.steps) == 3 * copies
     assert trace.final_nc.total == 16 * copies
     assert len(calls) <= copies + 2 * len(trace.steps)
@@ -412,7 +391,7 @@ def test_normalize_projects_each_relation_once(case_study, monkeypatch, mode):
 
     monkeypatch.setattr(Schema, "projected_fds", counting)
     copies = 8
-    trace = normalize_to_bcnf(_fixture_copies(case_study, copies), mode)
+    trace = normalize_to_bcnf(fixture_copies(case_study, copies), mode)
     assert len(trace.steps) == 3 * copies
     assert len(calls) <= copies + 2 * len(trace.steps)
     singletons = normalize_fds(trace.initial_nc.schema.fds)
