@@ -64,9 +64,12 @@ def partition_preventing(
 
     The per-relation analysis that classification and scoring read: one
     projection, one superkey verdict per distinct determinant. ``fds`` may be
-    the schema's global list or already projected (both steps are idempotent).
+    the schema's global list or already projected (both steps are idempotent),
+    as ``Schema.projected_fds`` gives it: such a list is used as it is.
     """
-    projected = project_fds(normalize_fds(fds), relation.attribute_set)
+    attrs, projected = relation.attribute_set, fds
+    if any(len(fd.dependents) > 1 or not fd.attributes <= attrs for fd in fds):
+        projected = project_fds(normalize_fds(fds), attrs)
     determinants = dict.fromkeys(fd.determinant_set for fd in projected)
     superkey = {det: is_superkey(det, relation, projected) for det in determinants}
     preventing = tuple(fd for fd in projected if not superkey[fd.determinant_set])

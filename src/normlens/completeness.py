@@ -18,8 +18,10 @@ the only place precision is lost is the two-decimal display truncation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .classify import FDPartition, classify_partition, partition_preventing
@@ -47,7 +49,7 @@ def fuzzy_membership(completeness: int, preventing: int, total: int) -> Fraction
         )
     if not 0 <= preventing <= total:
         raise ValueError(f"preventing count {preventing} out of range [0, {total}]")
-    return (Fraction(completeness, total) + (1 - Fraction(preventing, total))) / 2
+    return Fraction(completeness + total - preventing, 2 * total)
 
 
 @dataclass(frozen=True)
@@ -67,15 +69,17 @@ class RelationNC:
 
 @dataclass(frozen=True)
 class SchemaNC:
-    """The scored schema, its per-relation scores and their exact sum."""
+    """The scored schema, its per-relation scores and their exact sum, computed once."""
 
     schema: Schema
     mode: ClassificationMode
     per_relation: tuple[RelationNC, ...]
 
-    @property
+    @cached_property
     def total(self) -> Fraction:
-        return sum((r.nc for r in self.per_relation), Fraction(0))
+        ncs = [r.nc for r in self.per_relation]
+        den = math.lcm(*(nc.denominator for nc in ncs))
+        return Fraction(sum(nc.numerator * (den // nc.denominator) for nc in ncs), den)
 
     @property
     def total_display(self) -> str:
@@ -100,12 +104,10 @@ def relation_nc(
         membership = Fraction(1)
         nc = Fraction(4)
     else:
-        membership = fuzzy_membership(
-            partition.completeness_count,
-            partition.preventing_count,
-            partition.total_attributes,
-        )
-        nc = form.value + membership
+        c, p = partition.completeness_count, partition.preventing_count
+        n = partition.total_attributes
+        membership = fuzzy_membership(c, p, n)
+        nc = Fraction(2 * n * form.value + c + n - p, 2 * n)
     return RelationNC(
         relation_name=relation.name,
         normal_form=form,

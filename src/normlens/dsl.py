@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii  # the C encoder json.encoder re-exports
 from typing import TYPE_CHECKING, Any, Callable, Container
 
 from .model import (
@@ -498,6 +498,15 @@ def _trace_dict(trace: TransformTrace, memo: _Memo) -> dict[str, Any]:
     }
 
 
+# JSON text of a leaf by its exact type, so bool is never read as int.
+_LEAVES: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _dumps(tree: Any, shared: Container[int] = frozenset()) -> str:
     """``json.dumps(tree, indent=2, sort_keys=True) + "\\n"``, for the types reports hold.
 
@@ -510,15 +519,12 @@ def _dumps(tree: Any, shared: Container[int] = frozenset()) -> str:
     fragments: dict[tuple[int, int], str] = {}
 
     def encode(node: Any, depth: int) -> None:
-        if isinstance(node, str):
+        leaf = _LEAVES.get(type(node))
+        if leaf is not None:
+            chunks.append(leaf(node))
+        elif isinstance(node, str):
             chunks.append(encode_basestring_ascii(node))
-        elif node is None:
-            chunks.append("null")
-        elif node is True:
-            chunks.append("true")
-        elif node is False:
-            chunks.append("false")
-        elif isinstance(node, int):
+        elif isinstance(node, int):  # a subclass; bool has none
             chunks.append(int.__repr__(node))
         elif not isinstance(node, (list, dict)):
             raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
@@ -532,8 +538,12 @@ def _dumps(tree: Any, shared: Container[int] = frozenset()) -> str:
             if isinstance(node, list):
                 separator = "[" + indent
                 for item in node:
-                    chunks.append(separator)
-                    encode(item, depth + 1)
+                    leaf = _LEAVES.get(type(item))
+                    if leaf is None:
+                        chunks.append(separator)
+                        encode(item, depth + 1)
+                    else:
+                        chunks.append(separator + leaf(item))
                     separator = "," + indent
                 chunks.append("\n" + "  " * depth + "]")
             else:
@@ -541,8 +551,12 @@ def _dumps(tree: Any, shared: Container[int] = frozenset()) -> str:
                 for name, value in sorted(node.items()):
                     if not isinstance(name, str):
                         raise TypeError(f"keys must be str, not {type(name).__name__}")
-                    chunks.append(f"{separator}{encode_basestring_ascii(name)}: ")
-                    encode(value, depth + 1)
+                    leaf = _LEAVES.get(type(value))
+                    if leaf is None:
+                        chunks.append(f"{separator}{encode_basestring_ascii(name)}: ")
+                        encode(value, depth + 1)
+                    else:
+                        chunks.append(f"{separator}{encode_basestring_ascii(name)}: {leaf(value)}")
                     separator = "," + indent
                 chunks.append("\n" + "  " * depth + "}")
             if id(node) in shared:

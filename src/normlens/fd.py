@@ -120,4 +120,4 @@ def project_fds(
     lists stable under decomposition instead of surfacing derived ones.
     """
     keep = _names(attrs)
-    return tuple(fd for fd in fds if keep.issuperset(fd.determinant + fd.dependents))
+    return tuple(fd for fd in fds if fd.attributes <= keep)

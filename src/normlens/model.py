@@ -13,7 +13,6 @@ rendering load no scoring module.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -53,7 +52,7 @@ _NF_LABELS = {
 
 def truncated(value: Fraction) -> str:
     """Two-decimal truncation: 0.625 -> '0.62', 5/7 -> '0.71'. Floor, not round."""
-    hundredths = math.floor(value * 100)
+    hundredths = value.numerator * 100 // value.denominator
     return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
@@ -65,8 +64,10 @@ class ClassificationMode(Enum):
 
 
 def _ordered_names(names: Iterable[str] | str) -> tuple[str, ...]:
-    # Unique names preserving first occurrence; unordered inputs are sorted
-    # so downstream output stays deterministic.
+    # Unique names preserving first occurrence (a tuple of distinct names is kept
+    # as given); unordered inputs are sorted so downstream output stays deterministic.
+    if type(names) is tuple and len(set(names)) == len(names):
+        return names
     if isinstance(names, str):
         names = (names,)
     elif isinstance(names, (set, frozenset)):
@@ -100,7 +101,7 @@ class FunctionalDependency:
         object.__setattr__(self, "dependents", _ordered_names(self.dependents))
         object.__setattr__(self, "determinant_set", frozenset(self.determinant))
         object.__setattr__(self, "dependents_set", frozenset(self.dependents))
-        object.__setattr__(self, "attributes", frozenset(self.determinant + self.dependents))
+        object.__setattr__(self, "attributes", self.determinant_set | self.dependents_set)
 
     def __str__(self) -> str:
         return (
@@ -166,7 +167,7 @@ class Schema:
         singletons = normalize_fds(self.fds)
         index: dict[str | None, list[int]] = {}
         for position, fd in enumerate(singletons):
-            index.setdefault(next(iter(fd.determinant + fd.dependents), None), []).append(position)
+            index.setdefault((fd.determinant or fd.dependents or (None,))[0], []).append(position)
         return singletons, index, {}
 
     def projected_fds(self, relation: RelationSchema) -> tuple[FunctionalDependency, ...]:
@@ -322,8 +323,8 @@ def validate_schema(schema: Schema) -> ValidationReport:
 
         if not rel.primary_key:
             err("EMPTY_PRIMARY_KEY", f"relation {rel.name!r} has an empty primary key", rel)
-        missing_pk = sorted(rel.primary_key_set - rel.attribute_set)
-        if missing_pk:
+        if not rel.primary_key_set <= rel.attribute_set:
+            missing_pk = sorted(rel.primary_key_set - rel.attribute_set)
             err(
                 "PRIMARY_KEY_NOT_IN_RELATION",
                 f"primary key attributes {missing_pk} are not attributes of relation {rel.name!r}",
@@ -349,11 +350,11 @@ def validate_schema(schema: Schema) -> ValidationReport:
                     f"attribute name {name!r} in fd {fd.label!r} is not an identifier",
                     fd,
                 )
-        overlap = sorted(fd.determinant_set & fd.dependents_set)
-        if overlap:
+        if not fd.determinant_set.isdisjoint(fd.dependents_set):
+            overlap = sorted(fd.determinant_set & fd.dependents_set)
             err("TRIVIAL_FD", f"fd {fd.label!r} is trivial: {overlap} appear on both sides", fd)
-        unknown = sorted(fd.attributes - universe)
-        if unknown:
+        if not fd.attributes <= universe:
+            unknown = sorted(fd.attributes - universe)
             err(
                 "UNKNOWN_FD_ATTRIBUTE",
                 f"fd {fd.label!r} mentions {unknown}, which belong to no relation",

@@ -149,13 +149,17 @@ def decompose_step(
     )
     scores = list(nc_before.per_relation)
     scores[position] = reduced_nc
+    nc_after = SchemaNC(schema_after, mode, (*scores, new_nc))
+    # Every other relation's score carries over: seed the cached total with the difference.
+    total = nc_before.total - nc_before.per_relation[position].nc + reduced_nc.nc + new_nc.nc
+    nc_after.__dict__["total"] = total
     return TransformStep(
         source_name=source.name,
         moved_fd_labels=labels,
         new_relation=new_relation,
         reduced_relation=reduced_relation,
         nc_before=nc_before,
-        nc_after=SchemaNC(schema_after, mode, (*scores, new_nc)),
+        nc_after=nc_after,
         new_relation_bcnf=new_nc.normal_form is NormalForm.BCNF,
     )
 

@@ -172,6 +172,21 @@ def test_textbook_cases_in_both_modes(relation, fds, primary, strict):
     assert brute_force_normal_form(relation, fds, strict=True) == strict
 
 
+def test_only_a_list_that_projecting_leaves_unchanged_is_read_as_it_is(case_study, step1):
+    # A dependency with two dependents inside the heading is still split.
+    rel = RelationSchema("R", ("a", "b", "c", "d"), ("a",))
+    split = partition_preventing(rel, (fd("F1", "b", "c d"),))
+    assert [item.label for item in split.preventing] == ["F1.a", "F1.b"]
+    # step1's reduced relation has a narrower heading than the fixture relation.
+    schema = step1.nc_after.schema
+    (wide,) = case_study.relations
+    narrow = step1.reduced_relation
+    wide_projection = case_study.projected_fds(wide)
+    assert partition_preventing(narrow, wide_projection) == partition_preventing(
+        narrow, schema.projected_fds(narrow)
+    ) == partition_preventing(narrow, case_study.fds)
+
+
 def test_both_modes_match_the_brute_force_normal_form_oracle():
     schemas = [schema for schema, _keys in build_corpus(500)] + build_multi_corpus(100)
     for schema in schemas:

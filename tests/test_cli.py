@@ -453,6 +453,8 @@ def test_each_command_loads_only_the_modules_it_runs(command, unused):
     loaded = loaded_modules(_LOADED_BY_COMMAND, command, FIXTURE)
     assert {"normlens.cli", "normlens.dsl", "normlens.model"} <= loaded
     assert loaded & unused == set()
+    # Structured output needs only the C string encoder, not the json package.
+    assert loaded & {"json", "json.decoder", "json.scanner"} == set()
     assert _SCORING - unused <= loaded
 
 

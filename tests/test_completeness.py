@@ -1,23 +1,29 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import normlens.classify
+import normlens.completeness
 from normlens import (
     ClassificationMode,
+    FDPartition,
     NormalForm,
     RelationSchema,
     Schema,
+    SchemaNC,
     fuzzy_membership,
     relation_nc,
     schema_nc,
     truncated,
 )
 
-from corpus import build_corpus
+from conftest import fixture_copies
+from corpus import build_corpus, build_multi_corpus
 
 
 def test_membership_case_study_values():
@@ -57,6 +63,42 @@ def test_membership_rejects_out_of_range_counts(c, p, n):
 )
 def test_truncated_display(value, display):
     assert truncated(value) == display
+
+
+_huge = st.integers(min_value=-(10**40), max_value=10**40)
+
+
+@given(
+    st.fractions()
+    | st.builds(Fraction, _huge, st.integers(min_value=1, max_value=10**30))
+    | st.integers()
+    | _huge
+)
+def test_truncated_floors_hundredths_of_any_rational(value):
+    hundredths = math.floor(value * 100)
+    assert truncated(value) == f"{hundredths // 100}.{hundredths % 100:02d}"
+
+
+def test_one_fraction_scores_equal_the_paper_formula(monkeypatch):
+    # Every count triple up to twelve attributes, at every level below BCNF.
+    rel = RelationSchema("R", ("a",), ("a",))
+    for n in range(1, 13):
+        for c in range(n + 1):
+            for p in range(n + 1):
+                x = (Fraction(c, n) + (1 - Fraction(p, n))) / 2
+                assert fuzzy_membership(c, p, n) == x
+                partition = FDPartition(
+                    "R", (), (), frozenset(range(c)), frozenset(range(p)), n
+                )
+                monkeypatch.setattr(
+                    normlens.completeness, "partition_preventing", lambda *_: partition
+                )
+                for form in (NormalForm.UNF, NormalForm.FIRST, NormalForm.SECOND, NormalForm.THIRD):
+                    monkeypatch.setattr(
+                        normlens.completeness, "classify_partition", lambda *_, **__: form
+                    )
+                    scored = relation_nc(rel, ())
+                    assert (scored.membership, scored.nc) == (x, form.value + x)
 
 
 def test_relation_nc_case_study_values(case_study, step1, step2):
@@ -102,6 +144,36 @@ def test_schema_nc_totals_across_the_transformation(case_study, step1, step2):
     ]
     assert after_second.total == Fraction(47, 4)
     assert after_second.total_display == "11.75"
+
+
+def test_a_score_sums_its_total_when_first_read(step1):
+    nc = SchemaNC(step1.nc_after.schema, ClassificationMode.PRIMARY, step1.nc_after.per_relation)
+    assert "total" not in vars(nc)
+    assert nc.total == 6 + Fraction(5, 7)
+    assert nc.total is nc.total
+    assert nc == step1.nc_after  # the total is no field
+    denominators = set()
+    for schema in build_multi_corpus(100):
+        scored = schema_nc(schema)
+        assert scored.total == sum(r.nc for r in scored.per_relation)
+        denominators.add(frozenset(r.nc.denominator for r in scored.per_relation))
+    assert len(denominators) > 10  # many mixes of denominators were summed
+
+
+def test_scoring_projects_each_relation_once(case_study, monkeypatch):
+    calls = []
+    original = normlens.classify.project_fds
+
+    def counting(fds, attrs):
+        calls.append(attrs)
+        return original(fds, attrs)
+
+    monkeypatch.setattr(normlens.classify, "project_fds", counting)
+    schema = fixture_copies(case_study, 3)
+    scored = schema_nc(schema)
+    assert calls == []
+    assert scored.per_relation == tuple(relation_nc(rel, schema.fds) for rel in schema.relations)
+    assert len(calls) == 3  # a global list is still projected
 
 
 def test_empty_schema_total_is_zero():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from normlens import (
     AttributeSpec,
     ClassificationMode,
+    NormalForm,
     RelationSchema,
     Schema,
     Severity,
@@ -474,6 +475,26 @@ def test_the_encoder_equals_json_dumps(tree, part):
         expected = json.dumps(case, indent=2, sort_keys=True) + "\n"
         assert dsl._dumps(case) == expected
         assert dsl._dumps(case, _container_ids(case)) == expected
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    def __repr__(self) -> str:
+        return "many"
+
+    __str__ = __repr__
+
+
+@pytest.mark.parametrize(
+    "leaf", [True, False, None, 0, -(2**70), NormalForm.BCNF, _Count(3), _Text("x\u00e9"), ""]
+)
+def test_the_encoder_reads_leaves_of_subclasses_and_bool_as_json_dumps_does(leaf):
+    # Exact types take the encoder's leaf table; bool and IntEnum must not read as int.
+    for tree in ({"k": leaf}, [leaf], [[leaf, {"j": leaf}]], {"k": [leaf, leaf]}):
+        assert dsl._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

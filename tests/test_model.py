@@ -59,6 +59,33 @@ def test_fd_set_input_is_sorted_for_determinism():
         assert rel.primary_key == tuple("abcdef")
 
 
+@pytest.mark.parametrize(
+    "names, expected",
+    [
+        (("b", "a", "b", "c", "a"), ("b", "a", "c")),
+        (["b", "a", "b"], ("b", "a")),
+        ({"c", "a", "b"}, ("a", "b", "c")),
+        (frozenset({"c", "a"}), ("a", "c")),
+        ("a", ("a",)),
+    ],
+    ids=["tuple-with-repeats", "list", "set", "frozenset", "str"],
+)
+def test_every_kind_of_name_collection_gives_the_same_fields_and_sets(names, expected):
+    dep = FunctionalDependency("F1", names, ("z",))
+    assert (dep.determinant, dep.determinant_set) == (expected, frozenset(expected))
+    assert dep.attributes == {*expected, "z"}
+    rel = RelationSchema("R", (*expected, "z"), names)
+    assert (rel.primary_key, rel.primary_key_set) == (expected, frozenset(expected))
+    assert dep == FunctionalDependency("F1", expected, ("z",))
+
+
+def test_a_tuple_of_distinct_names_is_kept_as_given():
+    names = ("b", "a")
+    dep = FunctionalDependency("F1", names, ("c",))
+    assert dep.determinant is names
+    assert RelationSchema("R", ("a", "b"), names).primary_key is names
+
+
 def test_derived_values_stay_out_of_fields_equality_hash_and_repr():
     dep = FunctionalDependency("F1", ("b", "a"), ("c",))
     assert [f.name for f in dataclasses.fields(dep)] == ["label", "determinant", "dependents"]

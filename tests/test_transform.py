@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import normlens.classify
 import normlens.completeness
 import normlens.transform
 from normlens import (
@@ -343,6 +344,21 @@ def test_carried_scores_equal_scores_recomputed_from_scratch(mode):
     assert steps_seen > 100
 
 
+def test_a_step_carries_the_total_of_every_relation_it_scores():
+    steps_seen = 0
+    for schema, _keys in build_corpus(500):
+        try:
+            trace = normalize_to_bcnf(schema)
+        except DecompositionError:
+            continue
+        for step in trace.steps:
+            assert "total" in vars(step.nc_after)  # carried, not summed on first read
+            assert step.nc_after.total == sum(r.nc for r in step.nc_after.per_relation)
+            steps_seen += 1
+        assert trace.final_nc.total == sum(r.nc for r in trace.final_nc.per_relation)
+    assert steps_seen > 100
+
+
 @pytest.mark.parametrize("mode", list(ClassificationMode))
 def test_a_chain_of_public_steps_is_the_run(mode):
     steps_seen = 0
@@ -390,6 +406,8 @@ def test_normalize_projects_each_relation_once(case_study, monkeypatch, mode):
         return original(self, relation)
 
     monkeypatch.setattr(Schema, "projected_fds", counting)
+    # Scoring reads those projections as they are.
+    monkeypatch.setattr(normlens.classify, "project_fds", None)
     copies = 8
     trace = normalize_to_bcnf(fixture_copies(case_study, copies), mode)
     assert len(trace.steps) == 3 * copies
