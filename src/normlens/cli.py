@@ -5,7 +5,8 @@ cannot be decomposed further), 3 candidate-key capacity exceeded, 4 usage
 error (also: input that cannot be read or is not valid UTF-8, stdin decoded
 like a file, output that cannot be written, and a closed stdin or stdout).
 Results go to stdout, diagnostics to stderr, so structured output stays
-parseable even when warnings are present.
+parseable even when warnings are present. A closed or unwritable stderr
+changes neither stdout nor the exit code.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import IO, Sequence
 
 from .dsl import ParseResult, _dumps, emit_report, parse_schema
 from .errors import CapacityError, DecompositionError
@@ -96,6 +97,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard(stream: IO[str]) -> None:
+    # Python flushes the stream again at exit; let what is left go to devnull.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _warn(line: str) -> None:
+    # A diagnostic never changes stdout or the exit code: a closed stderr is
+    # skipped, and one that cannot be written goes to devnull from the first failure.
+    if sys.stderr is None:  # started with stderr closed
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _discard(sys.stderr)
+
+
 def _read_input(target: str) -> str:
     # Bytes from the file or stdin, decoded once; a stdin without a byte layer is text already.
     if target == "-":
@@ -170,12 +189,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         text = _read_input(args.input)
     except OSError as exc:
-        print(f"normlens: cannot read {provenance}: {exc}", file=sys.stderr)
+        _warn(f"normlens: cannot read {provenance}: {exc}")
         return EXIT_USAGE
 
     result = parse_schema(text)
     for diagnostic in result.diagnostics:
-        print(diagnostic.render(provenance), file=sys.stderr)
+        _warn(diagnostic.render(provenance))
 
     code = EXIT_PARSE if result.syntax_errors else EXIT_OK if result.ok else EXIT_VALIDATION
     mode = ClassificationMode(args.mode)
@@ -197,10 +216,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             out = _keys_report(result.schema, args.key_cap, args.format)
     except CapacityError as exc:
         needs = "" if args.command == "keys" else f" (--mode {args.mode} needs the key search)"
-        print(f"normlens: {exc}{needs}", file=sys.stderr)
+        _warn(f"normlens: {exc}{needs}")
         return EXIT_CAPACITY
     except DecompositionError as exc:
-        print(f"normlens: {exc}", file=sys.stderr)
+        _warn(f"normlens: {exc}")
         return EXIT_VALIDATION
     try:
         if sys.stdout is None:  # started with stdout closed
@@ -208,12 +227,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.write(out)
         sys.stdout.flush()
     except OSError as exc:
-        print(f"normlens: cannot write output: {exc}", file=sys.stderr)
+        _warn(f"normlens: cannot write output: {exc}")
         if sys.stdout is not None:
-            # Python flushes stdout again at exit; let what is left go to devnull.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _discard(sys.stdout)
         return EXIT_USAGE
     return code
 

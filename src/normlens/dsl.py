@@ -197,18 +197,30 @@ def _duplicate(line_no: int, column: int, name: str, what: str) -> ParseDiagnost
 
 
 def _name_list(
-    sink: list[ParseDiagnostic], line_no: int, match: re.Match[str], group: int, what: str
+    sink: list[ParseDiagnostic],
+    line_no: int,
+    match: re.Match[str],
+    group: int,
+    what: str,
+    lists: dict[str, tuple[str, ...]],
 ) -> tuple[str, ...]:
-    # A matched list's names, once each; every repeat is a warning at its own column.
-    names = _IDENT_RE.findall(match.string, *match.span(group))
-    unique = tuple(dict.fromkeys(names))
-    if len(unique) < len(names):
-        seen: set[str] = set()
-        for m in _IDENT_RE.finditer(match.string, *match.span(group)):
-            if m[0] in seen:
-                sink.append(_duplicate(line_no, m.start() + 1, m[0], what))
-            seen.add(m[0])
-    return unique
+    # A matched list's names, once each. A list of distinct names is scanned once per
+    # text and every later copy shares its tuple; a list with a repeat stays out of
+    # ``lists``, so every copy warns again, at each repeat's own column.
+    text = match[group]
+    names = lists.get(text)
+    if names is None:
+        found = _IDENT_RE.findall(text)
+        names = tuple(dict.fromkeys(found))
+        if len(names) == len(found):
+            lists[text] = names
+        else:
+            seen: set[str] = set()
+            for m in _IDENT_RE.finditer(match.string, *match.span(group)):
+                if m[0] in seen:
+                    sink.append(_duplicate(line_no, m.start() + 1, m[0], what))
+                seen.add(m[0])
+    return names
 
 
 def parse_schema(text: str) -> ParseResult:
@@ -218,16 +230,19 @@ def parse_schema(text: str) -> ParseResult:
     Warnings (for example a primary key that is not a superkey) leave the
     schema usable. A validation finding points at the declaration that is its
     ``Violation.subject``, even when a name repeats (the schema line when it
-    has none). Diagnostics do not know where the text came from:
-    ``ParseDiagnostic.render(provenance)`` names the source.
+    has none). Declarations whose name lists have the same text, with no
+    name repeated, share one tuple of names. Diagnostics do not know where
+    the text came from: ``ParseDiagnostic.render(provenance)`` names the source.
     """
     diagnostics: list[ParseDiagnostic] = []
     schema_name: str | None = None
     schema_anchor = (1, 1)
     relations: list[RelationSchema] = []
     fds: list[FunctionalDependency] = []
-    # Keyed by identity: equal declarations on two lines keep two anchors.
-    anchors: dict[int, tuple[int, int]] = {}
+    # (line, column) of each declaration, parallel to relations and fds.
+    relation_at: list[tuple[int, int]] = []
+    fd_at: list[tuple[int, int]] = []
+    lists: dict[str, tuple[str, ...]] = {}  # name list text -> its distinct names
 
     # One leading byte-order mark, as some editors write, is not schema text.
     # Only \n, \r\n and \r end a line, as for grep -n; str.splitlines() breaks at \f too.
@@ -242,14 +257,14 @@ def parse_schema(text: str) -> ParseResult:
             if match[1]:
                 specs = _ATTRIBUTE_RE.findall(content, *match.span(2))
                 attrs = tuple(AttributeSpec(name, not star) for name, star in specs)
-                key = _name_list(diagnostics, line_no, match, 3, "key")
+                key = _name_list(diagnostics, line_no, match, 3, "key", lists)
                 relations.append(RelationSchema(match[1], attrs, key))
-                anchors[id(relations[-1])] = (line_no, match.start(1) + 1)
+                relation_at.append((line_no, match.start(1) + 1))
             else:
-                determinant = _name_list(diagnostics, line_no, match, 5, "determinant")
-                dependents = _name_list(diagnostics, line_no, match, 6, "dependent")
+                determinant = _name_list(diagnostics, line_no, match, 5, "determinant", lists)
+                dependents = _name_list(diagnostics, line_no, match, 6, "dependent", lists)
                 fds.append(FunctionalDependency(match[4], determinant, dependents))
-                anchors[id(fds[-1])] = (line_no, match.start(4) + 1)
+                fd_at.append((line_no, match.start(4) + 1))
             continue
         lp = _LineParser(diagnostics, line_no, content)
         head, head_col = lp.take()
@@ -284,9 +299,13 @@ def parse_schema(text: str) -> ParseResult:
 
     schema = Schema(schema_name or "", tuple(relations), tuple(fds))
     report = validate_schema(schema)
-    for v in report.violations:
-        line, column = anchors.get(id(v.subject), schema_anchor)
-        diagnostics.append(ParseDiagnostic(line, column, v.severity, v.message, v.code))
+    if report.violations:
+        # Keyed by identity: equal declarations on two lines keep two anchors.
+        anchors = dict(zip(map(id, relations), relation_at))
+        anchors.update(zip(map(id, fds), fd_at))
+        for v in report.violations:
+            line, column = anchors.get(id(v.subject), schema_anchor)
+            diagnostics.append(ParseDiagnostic(line, column, v.severity, v.message, v.code))
     return ParseResult(schema if report.ok else None, tuple(diagnostics))
 
 

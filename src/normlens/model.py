@@ -5,7 +5,9 @@ arguments (tuples, duplicate removal where set semantics apply) but do not
 enforce semantic rules; ``validate_schema`` reports every violation as data
 so callers can surface all problems at once. Analysis entry points assume a
 schema that validated without errors. Sets and name tuples derived from the
-fields are plain attributes built once, left out of ==, hash, repr and fields().
+fields are plain attributes built once, left out of ==, hash, repr and fields():
+``FunctionalDependency`` and ``RelationSchema`` have hand-written constructors
+(the dataclass keeps them) that set fields and derived values in one step.
 ``ClassificationMode`` and ``truncated`` live here, so that parsing and
 rendering load no scoring module.
 """
@@ -63,16 +65,21 @@ class ClassificationMode(Enum):
     STRICT = "strict"
 
 
-def _ordered_names(names: Iterable[str] | str) -> tuple[str, ...]:
+def _names_and_set(names: Iterable[str] | str) -> tuple[tuple[str, ...], frozenset[str]]:
     # Unique names preserving first occurrence (a tuple of distinct names is kept
-    # as given); unordered inputs are sorted so downstream output stays deterministic.
-    if type(names) is tuple and len(set(names)) == len(names):
-        return names
-    if isinstance(names, str):
-        names = (names,)
-    elif isinstance(names, (set, frozenset)):
-        names = sorted(names)
-    return tuple(dict.fromkeys(names))
+    # as given) and their set, both from one frozenset; unordered inputs are sorted
+    # so downstream output stays deterministic.
+    if type(names) is not tuple:
+        if isinstance(names, str):
+            names = (names,)
+        elif isinstance(names, (set, frozenset)):
+            names = tuple(sorted(names))
+        else:
+            names = tuple(names)
+    name_set = frozenset(names)
+    if len(name_set) < len(names):
+        names = tuple(dict.fromkeys(names))
+    return names, name_set
 
 
 @dataclass(frozen=True)
@@ -96,12 +103,19 @@ class FunctionalDependency:
     determinant: tuple[str, ...]
     dependents: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "determinant", _ordered_names(self.determinant))
-        object.__setattr__(self, "dependents", _ordered_names(self.dependents))
-        object.__setattr__(self, "determinant_set", frozenset(self.determinant))
-        object.__setattr__(self, "dependents_set", frozenset(self.dependents))
-        object.__setattr__(self, "attributes", self.determinant_set | self.dependents_set)
+    def __init__(
+        self, label: str, determinant: Iterable[str] | str, dependents: Iterable[str] | str
+    ) -> None:
+        determinant, determinant_set = _names_and_set(determinant)
+        dependents, dependents_set = _names_and_set(dependents)
+        vars(self).update(
+            label=label,
+            determinant=determinant,
+            dependents=dependents,
+            determinant_set=determinant_set,
+            dependents_set=dependents_set,
+            attributes=determinant_set | dependents_set,
+        )
 
     def __str__(self) -> str:
         return (
@@ -118,16 +132,23 @@ class RelationSchema:
     attributes: tuple[AttributeSpec, ...]
     primary_key: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        specs = tuple(
-            AttributeSpec(attr) if isinstance(attr, str) else attr
-            for attr in self.attributes
+    def __init__(
+        self,
+        name: str,
+        attributes: Iterable[AttributeSpec | str],
+        primary_key: Iterable[str] | str,
+    ) -> None:
+        specs = tuple(AttributeSpec(attr) if isinstance(attr, str) else attr for attr in attributes)
+        attribute_names = tuple(spec.name for spec in specs)
+        primary_key, primary_key_set = _names_and_set(primary_key)
+        vars(self).update(
+            name=name,
+            attributes=specs,
+            primary_key=primary_key,
+            attribute_names=attribute_names,
+            attribute_set=frozenset(attribute_names),
+            primary_key_set=primary_key_set,
         )
-        object.__setattr__(self, "attributes", specs)
-        object.__setattr__(self, "primary_key", _ordered_names(self.primary_key))
-        object.__setattr__(self, "attribute_names", tuple(spec.name for spec in specs))
-        object.__setattr__(self, "attribute_set", frozenset(self.attribute_names))
-        object.__setattr__(self, "primary_key_set", frozenset(self.primary_key))
 
     def heading(self) -> str:
         """Render as ``Name(attr1, attr2, ...)``."""
@@ -343,13 +364,14 @@ def validate_schema(schema: Schema) -> ValidationReport:
             err("EMPTY_DETERMINANT", f"fd {fd.label!r} has an empty determinant", fd)
         if not fd.dependents:
             err("EMPTY_DEPENDENTS", f"fd {fd.label!r} has an empty dependent list", fd)
-        for name in (*fd.determinant, *fd.dependents):
-            if name in bad_names:
-                err(
-                    "BAD_ATTRIBUTE_NAME",
-                    f"attribute name {name!r} in fd {fd.label!r} is not an identifier",
-                    fd,
-                )
+        if not bad_names.isdisjoint(fd.attributes):
+            for name in (*fd.determinant, *fd.dependents):
+                if name in bad_names:
+                    err(
+                        "BAD_ATTRIBUTE_NAME",
+                        f"attribute name {name!r} in fd {fd.label!r} is not an identifier",
+                        fd,
+                    )
         if not fd.determinant_set.isdisjoint(fd.dependents_set):
             overlap = sorted(fd.determinant_set & fd.dependents_set)
             err("TRIVIAL_FD", f"fd {fd.label!r} is trivial: {overlap} appear on both sides", fd)

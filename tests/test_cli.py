@@ -26,9 +26,12 @@ from conftest import CASE_STUDY_PATH, REPO_ROOT, fixture_copies
 from corpus import random_multi_relation_schema
 
 FIXTURE = str(CASE_STUDY_PATH)
+GOLDEN = REPO_ROOT / "tests" / "golden"
 
 
-def run_process(*argv, stdin=b"", stdout=subprocess.PIPE, closed=None, **env):
+def run_process(
+    *argv, stdin=b"", stdout=subprocess.PIPE, stderr=subprocess.PIPE, closed=None, **env
+):
     """``python -m normlens argv`` against this checkout's sources.
 
     ``closed`` names a descriptor to close in the child before Python starts.
@@ -37,7 +40,7 @@ def run_process(*argv, stdin=b"", stdout=subprocess.PIPE, closed=None, **env):
         [sys.executable, "-m", "normlens", *argv],
         input=stdin,
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), **env},
         preexec_fn=None if closed is None else lambda: os.close(closed),
         check=False,
@@ -307,6 +310,29 @@ def test_closed_stdout_exits_4_with_one_line():
     done = run_process("check", "-", stdin=CASE_STUDY_PATH.read_bytes(), closed=1)
     assert done.returncode == 4
     assert done.stderr.decode().splitlines() == ["normlens: cannot write output: stdout is closed"]
+
+
+@pytest.mark.skipif(
+    os.name != "posix" or not os.path.exists("/dev/full"), reason="needs POSIX and /dev/full"
+)
+@pytest.mark.parametrize(
+    "stderr, unbuffered",
+    [("closed", ""), ("full", "1"), ("full", "")],
+    ids=["closed", "full-unbuffered", "full-buffered"],
+)
+@pytest.mark.parametrize("name", ["repeated_names", "invalid"])
+def test_a_closed_or_full_stderr_changes_neither_stdout_nor_the_exit_code(name, stderr, unbuffered):
+    argv = ("check", "--format", "structured", "-")
+    text = (GOLDEN / f"{name}.nls").read_bytes()
+    expected = (GOLDEN / f"{name}.check.structured.out").read_bytes()
+    with_stderr = run_process(*argv, stdin=text)
+    assert with_stderr.stdout == expected
+    assert with_stderr.stderr == (GOLDEN / f"{name}.check.structured.err").read_bytes()
+    with open("/dev/full", "wb") as full:
+        where = {"closed": 2} if stderr == "closed" else {"stderr": full}
+        done = run_process(*argv, stdin=text, PYTHONUNBUFFERED=unbuffered, **where)
+    assert done.stdout == expected
+    assert done.returncode == with_stderr.returncode
 
 
 def test_keys_normalizes_the_fds_once(capsys, monkeypatch):

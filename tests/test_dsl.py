@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
 import weakref
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -336,6 +338,59 @@ def test_syntax_messages_and_columns(text, expected):
 def test_findings_about_repeated_names_point_at_their_own_declaration(text, expected):
     diagnostics = parse_schema(text).diagnostics
     assert [(d.code, d.line, d.column) for d in diagnostics] == expected
+
+
+def test_a_shared_list_text_with_a_repeat_warns_on_every_line():
+    # One list text, "a, b, a", as a key and twice as a determinant.
+    text = "schema s\nrelation R(a, b, c) key(a, b, a)\nfd F1: a, b, a -> c\nfd F2: a, b, a -> c\n"
+    result = parse_schema(text)
+    assert [(d.line, d.column, d.severity.value, d.message) for d in result.diagnostics] == [
+        (2, 31, "warning", "duplicate attribute 'a' in key list (ignored)"),
+        (3, 14, "warning", "duplicate attribute 'a' in determinant list (ignored)"),
+        (4, 14, "warning", "duplicate attribute 'a' in determinant list (ignored)"),
+    ]
+    (rel,) = result.schema.relations
+    assert rel.primary_key == result.schema.fds[0].determinant == ("a", "b")
+
+
+def test_declarations_share_each_distinct_name_list(case_study, monkeypatch):
+    scanned = Counter()
+    ident = dsl._IDENT_RE
+
+    class Counting:
+        def findall(self, text):
+            scanned[text] += 1
+            return ident.findall(text)
+
+    monkeypatch.setattr(dsl, "_IDENT_RE", Counting())
+    schema = fixture_copies(case_study, 4)
+    parsed = parse_schema(emit_schema(schema)).schema
+    assert parsed == schema
+    lists = [
+        *(rel.primary_key for rel in parsed.relations),
+        *(names for item in parsed.fds for names in (item.determinant, item.dependents)),
+    ]
+    assert scanned == Counter({", ".join(names) for names in lists})
+    # The fixture's 16 FDs have 6 determinants: FDs that repeat a list text hold one tuple.
+    by_text = {}
+    for names in lists:
+        assert by_text.setdefault(", ".join(names), names) is names
+    assert len({id(item.determinant) for item in parsed.fds}) == 6 * 4
+
+
+_CORPUS_TEXTS = [emit_schema(schema) for schema, _keys in build_corpus(count=200, seed=29)]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(_CORPUS_TEXTS), st.randoms(use_true_random=False))
+def test_lists_read_unshared_parse_as_shared_ones(text, rng):
+    # Random spaces around every comma give most lists a text of their own.
+    spaced = re.sub(",", lambda _: " " * rng.randint(0, 2) + "," + " " * rng.randint(0, 3), text)
+    shared, unshared = parse_schema(text), parse_schema(spaced)
+    assert unshared.schema == shared.schema
+    assert [(d.line, d.severity, d.code, d.message) for d in unshared.diagnostics] == [
+        (d.line, d.severity, d.code, d.message) for d in shared.diagnostics
+    ]
 
 
 # str.splitlines() also ends a line at these; grep -n and the DSL do not.
