@@ -23,15 +23,20 @@ sets, so classification has two modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .fd import DEFAULT_KEY_CAP, candidate_keys, closure, is_superkey, project_fds
-from .model import ClassificationMode, FunctionalDependency, NormalForm, RelationSchema, normalize_fds
+from .model import (
+    ClassificationMode,
+    FunctionalDependency,
+    NormalForm,
+    RelationSchema,
+    _Record,
+    normalize_fds,
+)
 
 
-@dataclass(frozen=True)
-class FDPartition:
+class FDPartition(_Record):
     """Projected dependencies of one relation split by the superkey test.
 
     ``preventing`` and ``non_preventing`` together are exactly the relation's

@@ -19,7 +19,6 @@ the only place precision is lost is the two-decimal display truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -32,6 +31,7 @@ from .model import (
     NormalForm,
     RelationSchema,
     Schema,
+    _Record,
     truncated,
 )
 
@@ -52,8 +52,7 @@ def fuzzy_membership(completeness: int, preventing: int, total: int) -> Fraction
     return Fraction(completeness + total - preventing, 2 * total)
 
 
-@dataclass(frozen=True)
-class RelationNC:
+class RelationNC(_Record):
     """Normalization completeness of one relation."""
 
     relation_name: str
@@ -67,8 +66,7 @@ class RelationNC:
         return truncated(self.nc)
 
 
-@dataclass(frozen=True)
-class SchemaNC:
+class SchemaNC(_Record):
     """The scored schema, its per-relation scores and their exact sum, computed once."""
 
     schema: Schema

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from _json import encode_basestring_ascii  # the C encoder json.encoder re-exports
 from typing import TYPE_CHECKING, Any, Callable, Container
 
@@ -36,6 +35,7 @@ from .model import (
     RelationSchema,
     Schema,
     Severity,
+    _Record,
     truncated,
     validate_schema,
 )
@@ -60,8 +60,7 @@ _DECLARATION_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(_Record):
     line: int
     column: int
     severity: Severity
@@ -72,8 +71,7 @@ class ParseDiagnostic:
         return f"{provenance}:{self.line}:{self.column}: {self.severity.value}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(_Record):
     """Outcome of a parse: a schema unless any error-severity diagnostic exists."""
 
     schema: Schema | None

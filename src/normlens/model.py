@@ -4,10 +4,11 @@ All values are immutable. Constructors canonicalize their collection
 arguments (tuples, duplicate removal where set semantics apply) but do not
 enforce semantic rules; ``validate_schema`` reports every violation as data
 so callers can surface all problems at once. Analysis entry points assume a
-schema that validated without errors. Sets and name tuples derived from the
-fields are plain attributes built once, left out of ==, hash, repr and fields():
-``FunctionalDependency`` and ``RelationSchema`` have hand-written constructors
-(the dataclass keeps them) that set fields and derived values in one step.
+schema that validated without errors. The value types are records (see
+``_Record``): ==, hash and repr run over their fields. Sets and name tuples
+derived from the fields are plain attributes built once, left out of the
+fields: ``FunctionalDependency`` and ``RelationSchema`` have constructors
+that set fields and derived values in one step.
 ``ClassificationMode`` and ``truncated`` live here, so that parsing and
 rendering load no scoring module.
 """
@@ -15,11 +16,11 @@ rendering load no scoring module.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .fd import is_superkey, project_fds
 
@@ -82,16 +83,83 @@ def _names_and_set(names: Iterable[str] | str) -> tuple[tuple[str, ...], frozens
     return names, name_set
 
 
-@dataclass(frozen=True)
-class AttributeSpec:
+_setattr = object.__setattr__  # sets a field past _Record.__setattr__
+
+
+class _Record:
+    """Base of the immutable value types: a frozen dataclass without generated code.
+
+    A subclass's fields are its annotated class attributes, in order, and
+    ``__match_args__`` names them; a class attribute is that field's default.
+    ==, hash and repr run over ``_value_fields`` (the fields, unless the class
+    names fewer), and ``==`` holds only between instances of one class. An
+    instance keeps a ``__dict__``, where derived values and ``cached_property``
+    results live, but refuses assignment and deletion. ``__replace__`` is the
+    ``copy.replace`` protocol (Python 3.13+): a copy built through ``__init__``.
+    """
+
+    __match_args__: ClassVar[tuple[str, ...]] = ()
+    _value_fields: ClassVar[tuple[str, ...]] = ()
+    _values: ClassVar[Callable[[Any], tuple[Any, ...]]]  # the _value_fields of a record
+    _defaults: ClassVar[dict[str, Any]] = {}
+    _required: ClassVar[frozenset[str]] = frozenset()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        own = vars(cls)
+        fields = cls.__match_args__ = tuple(cls.__annotations__)
+        shown = cls._value_fields = own.get("_value_fields", fields)
+        get = operator.attrgetter(*shown)  # a tuple for two or more names
+        cls._values = staticmethod(get if len(shown) > 1 else lambda record: (get(record),))
+        cls._defaults = {name: own.get(name) for name in fields}
+        cls._required = frozenset(name for name in fields if name not in own)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        cls, names = type(self), self.__match_args__
+        if args:
+            if len(args) > len(names) or not kwargs.keys().isdisjoint(names[: len(args)]):
+                raise TypeError(f"{cls.__name__}() takes the fields {names}, each once")
+            kwargs.update(zip(names, args))
+        if not cls._required <= kwargs.keys() <= cls._defaults.keys():
+            raise TypeError(f"{cls.__name__}() takes {names}, needing {sorted(cls._required)}")
+        vars(self).update(cls._defaults, **kwargs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._value_fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __replace__(self, **changes: Any) -> Any:
+        return type(self)(**{name: getattr(self, name) for name in self.__match_args__} | changes)
+
+
+class AttributeSpec(_Record):
     """A named attribute; ``atomic=False`` marks composite or multivalued values."""
 
     name: str
     atomic: bool = True
 
+    def __init__(self, name: str, atomic: bool = True) -> None:
+        # One field at a time keeps the instance's dict sharing the class's keys
+        # (a dict update would copy them), so reading ``spec.name`` stays fast.
+        _setattr(self, "name", name)
+        _setattr(self, "atomic", atomic)
 
-@dataclass(frozen=True)
-class FunctionalDependency:
+
+class FunctionalDependency(_Record):
     """Labeled dependency: the determinant fixes every dependent attribute.
 
     Attribute order is kept as written so reports and decompositions can echo
@@ -124,8 +192,7 @@ class FunctionalDependency:
         )
 
 
-@dataclass(frozen=True)
-class RelationSchema:
+class RelationSchema(_Record):
     """Named heading with atomicity flags and a designated primary key."""
 
     name: str
@@ -155,8 +222,7 @@ class RelationSchema:
         return f"{self.name}({', '.join(self.attribute_names)})"
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(_Record):
     """Named collection of relations sharing one global labeled FD list.
 
     ``fds`` stays as written; its singleton form, attribute index and the
@@ -168,9 +234,13 @@ class Schema:
     relations: tuple[RelationSchema, ...]
     fds: tuple[FunctionalDependency, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "relations", tuple(self.relations))
-        object.__setattr__(self, "fds", tuple(self.fds))
+    def __init__(
+        self,
+        name: str,
+        relations: Iterable[RelationSchema],
+        fds: Iterable[FunctionalDependency] = (),
+    ) -> None:
+        vars(self).update(name=name, relations=tuple(relations), fds=tuple(fds))
 
     def with_relations(self, relations: Iterable[RelationSchema]) -> Schema:
         """This schema's name and FDs over other relations, sharing the FD index."""
@@ -246,8 +316,7 @@ class Severity(Enum):
 _Subject = RelationSchema | FunctionalDependency | None
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One validation finding; ``relation``/``fd_label`` anchor it when known.
 
     ``subject`` is the relation or FD object it is about (``None``: the schema
@@ -259,11 +328,12 @@ class Violation:
     severity: Severity = Severity.ERROR
     relation: str | None = None
     fd_label: str | None = None
-    subject: _Subject = field(default=None, compare=False, repr=False)
+    subject: _Subject = None
+
+    _value_fields = ("code", "message", "severity", "relation", "fd_label")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     """Immutable list of violations with a convenience ``ok`` flag."""
 
     violations: tuple[Violation, ...]

@@ -13,17 +13,15 @@ the trace lists dependencies that no longer project into any one relation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping
 
 from .completeness import SchemaNC, relation_nc, schema_nc
 from .errors import AlreadyBCNFError, DecompositionError, UnknownRelationError
 from .fd import DEFAULT_KEY_CAP
-from .model import ClassificationMode, NormalForm, RelationSchema, Schema, normalize_fds
+from .model import ClassificationMode, NormalForm, RelationSchema, Schema, _Record, normalize_fds
 
 
-@dataclass(frozen=True)
-class TransformStep:
+class TransformStep(_Record):
     """One decomposition step with the scored schemas before and after it.
 
     ``new_relation_bcnf`` records whether the freshly split-off relation is
@@ -41,8 +39,7 @@ class TransformStep:
     new_relation_bcnf: bool
 
 
-@dataclass(frozen=True)
-class TransformTrace:
+class TransformTrace(_Record):
     """Full decomposition run: initial score, ordered steps, final score (each with its schema)."""
 
     steps: tuple[TransformStep, ...]

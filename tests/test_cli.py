@@ -446,6 +446,8 @@ except SystemExit:
 print(" ".join(sorted(sys.modules)))
 """
 _SCORING = {"fractions", "normlens.classify", "normlens.completeness", "normlens.transform"}
+# dataclasses imports inspect, and generates and compiles methods for each class.
+_GENERATED_CODE = {"dataclasses", "inspect"}
 
 
 def loaded_modules(*code: str) -> set[str]:
@@ -464,6 +466,7 @@ def test_importing_the_package_loads_no_submodule():
     loaded = loaded_modules("import sys, normlens; print(' '.join(sys.modules))")
     assert "normlens" in loaded
     assert {name for name in loaded if name.startswith("normlens.")} == set()
+    assert loaded & _GENERATED_CODE == set()
 
 
 @pytest.mark.parametrize(
@@ -481,6 +484,8 @@ def test_each_command_loads_only_the_modules_it_runs(command, unused):
     assert loaded & unused == set()
     # Structured output needs only the C string encoder, not the json package.
     assert loaded & {"json", "json.decoder", "json.scanner"} == set()
+    # The value types are records (model._Record), not dataclasses.
+    assert loaded & _GENERATED_CODE == set()
     assert _SCORING - unused <= loaded
 
 

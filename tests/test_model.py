@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -10,14 +13,24 @@ import pytest
 import normlens.model
 from normlens import (
     AttributeSpec,
+    ClassificationMode,
+    FDPartition,
     FunctionalDependency,
     NormalForm,
+    ParseDiagnostic,
+    ParseResult,
+    RelationNC,
     RelationSchema,
     Schema,
+    SchemaNC,
     Severity,
+    TransformStep,
+    TransformTrace,
+    ValidationReport,
     Violation,
     candidate_keys,
     normalize_fds,
+    normalize_to_bcnf,
     parse_schema,
     emit_schema,
     partition_preventing,
@@ -26,6 +39,7 @@ from normlens import (
     validate_schema,
 )
 
+from conftest import CASE_STUDY_PATH
 from corpus import build_corpus, fd
 
 
@@ -88,7 +102,7 @@ def test_a_tuple_of_distinct_names_is_kept_as_given():
 
 def test_derived_values_stay_out_of_fields_equality_hash_and_repr():
     dep = FunctionalDependency("F1", ("b", "a"), ("c",))
-    assert [f.name for f in dataclasses.fields(dep)] == ["label", "determinant", "dependents"]
+    assert dep.__match_args__ == ("label", "determinant", "dependents")
     assert repr(dep) == "FunctionalDependency(label='F1', determinant=('b', 'a'), dependents=('c',))"
     assert hash(dep) == hash(("F1", ("b", "a"), ("c",)))
     assert dep == FunctionalDependency("F1", ["b", "a", "b"], "c")
@@ -97,7 +111,7 @@ def test_derived_values_stay_out_of_fields_equality_hash_and_repr():
     assert dep.attributes == {"a", "b", "c"}
 
     rel = RelationSchema("R", ("b", AttributeSpec("a", atomic=False)), ("b",))
-    assert [f.name for f in dataclasses.fields(rel)] == ["name", "attributes", "primary_key"]
+    assert rel.__match_args__ == ("name", "attributes", "primary_key")
     assert repr(rel) == (
         "RelationSchema(name='R', attributes=(AttributeSpec(name='b', atomic=True),"
         " AttributeSpec(name='a', atomic=False)), primary_key=('b',))"
@@ -118,21 +132,172 @@ def test_derived_values_stay_out_of_fields_equality_hash_and_repr():
         (RelationSchema("R", ("a",), ("a",)), "attribute_names"),
         (RelationSchema("R", ("a",), ("a",)), "attribute_set"),
         (RelationSchema("R", ("a",), ("a",)), "primary_key_set"),
+        *(
+            (FunctionalDependency("F1", ("a",), ("b",)), name)
+            for name in ("label", "determinant", "dependents")
+        ),
+        *((RelationSchema("R", ("a",), ("a",)), name) for name in ("name", "attributes", "primary_key")),
     ],
 )
 def test_derived_values_are_read_only(obj, name):
     before = getattr(obj, name)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
         setattr(obj, name, frozenset({"z"}))
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(obj, name)
     assert getattr(obj, name) == before
 
 
-def test_replace_recomputes_the_derived_values():
-    dep = dataclasses.replace(FunctionalDependency("F1", ("a",), ("b",)), dependents=("c", "d"))
+def replace_recomputes_the_derived_values(replace):
+    dep = replace(FunctionalDependency("F1", ("a",), ("b",)), dependents=("c", "d"))
     assert (dep.dependents_set, dep.attributes) == ({"c", "d"}, {"a", "c", "d"})
-    rel = dataclasses.replace(RelationSchema("R", ("a", "b"), ("a",)), attributes=("x", "y"))
+    rel = replace(RelationSchema("R", ("a", "b"), ("a",)), attributes=("x", "y"))
     assert (rel.attribute_names, rel.attribute_set) == (("x", "y"), {"x", "y"})
-    assert dataclasses.replace(rel, primary_key=("y",)).primary_key_set == {"y"}
+    assert replace(rel, primary_key=("y",)).primary_key_set == {"y"}
+
+
+def test_replace_recomputes_the_derived_values():
+    replace_recomputes_the_derived_values(lambda obj, **changes: obj.__replace__(**changes))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_recomputes_the_derived_values():
+    replace_recomputes_the_derived_values(copy.replace)
+
+
+# The fields of each public record type, in order: positional construction and
+# match patterns depend on them.
+RECORD_FIELDS = {
+    AttributeSpec: ("name", "atomic"),
+    FunctionalDependency: ("label", "determinant", "dependents"),
+    RelationSchema: ("name", "attributes", "primary_key"),
+    Schema: ("name", "relations", "fds"),
+    Violation: ("code", "message", "severity", "relation", "fd_label", "subject"),
+    ValidationReport: ("violations",),
+    ParseDiagnostic: ("line", "column", "severity", "message", "code"),
+    ParseResult: ("schema", "diagnostics"),
+    FDPartition: (
+        "relation_name",
+        "preventing",
+        "non_preventing",
+        "completeness_attributes",
+        "preventing_attributes",
+        "total_attributes",
+    ),
+    RelationNC: ("relation_name", "normal_form", "partition", "membership", "nc"),
+    SchemaNC: ("schema", "mode", "per_relation"),
+    TransformStep: (
+        "source_name",
+        "moved_fd_labels",
+        "new_relation",
+        "reduced_relation",
+        "nc_before",
+        "nc_after",
+        "new_relation_bcnf",
+    ),
+    TransformTrace: ("steps", "initial_nc", "final_nc", "unpreserved_fd_labels"),
+}
+
+
+@pytest.fixture(scope="module")
+def records(case_study):
+    """Instances of each record type: the first two differ, and equal ones may follow."""
+    primary = normalize_to_bcnf(case_study)
+    strict = normalize_to_bcnf(case_study, ClassificationMode.STRICT)
+    initial, final = primary.initial_nc, primary.final_nc
+    broken = parse_schema("schema s\nrelation R(a key(a)\nrelation S(b) key\n")
+    bad = Schema("s", (RelationSchema("R", ("a", "a"), ()),), (fd("F1", "a", "a"),))
+    violations = validate_schema(bad).violations
+    return {
+        AttributeSpec: [*case_study.relations[0].attributes[:2], AttributeSpec("propertyNo")],
+        FunctionalDependency: [*case_study.fds[:2], fd("FD1", "propertyNo iDate", "iTime")],
+        RelationSchema: [case_study.relations[0], final.schema.relations[1]],
+        Schema: [case_study, final.schema, initial.schema],
+        # subject is no part of the value: the last two are equal.
+        Violation: [*violations[:2], violations[0].__replace__(subject=None), Violation("X", "m")],
+        ValidationReport: [validate_schema(case_study), validate_schema(bad)],
+        ParseDiagnostic: list(broken.diagnostics[:2]),
+        ParseResult: [parse_schema(CASE_STUDY_PATH.read_text(encoding="utf-8")), broken],
+        FDPartition: [initial.per_relation[0].partition, final.per_relation[0].partition],
+        RelationNC: [initial.per_relation[0], final.per_relation[0]],
+        SchemaNC: [initial, strict.initial_nc, final],
+        TransformStep: [*primary.steps[:2]],
+        TransformTrace: [primary, strict],
+    }
+
+
+def positional_fields(record):
+    """What a positional class pattern binds, for a record of up to seven fields."""
+    cls = type(record)
+    match len(cls.__match_args__), record:
+        case 1, cls(a):
+            return (a,)
+        case 2, cls(a, b):
+            return (a, b)
+        case 3, cls(a, b, c):
+            return (a, b, c)
+        case 4, cls(a, b, c, d):
+            return (a, b, c, d)
+        case 5, cls(a, b, c, d, e):
+            return (a, b, c, d, e)
+        case 6, cls(a, b, c, d, e, f):
+            return (a, b, c, d, e, f)
+        case 7, cls(a, b, c, d, e, f, g):
+            return (a, b, c, d, e, f, g)
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_records_compare_hash_and_print_as_frozen_dataclasses(cls, records):
+    fields = RECORD_FIELDS[cls]
+    assert cls.__match_args__ == fields
+    # A copy built through __init__ from positional and from keyword fields.
+    values = [getattr(records[cls][0], name) for name in fields]
+    instances = [*records[cls], cls(*values), cls(**dict(zip(fields, values)))]
+    hidden = dataclasses.field(compare=False, repr=False)
+    twin_type = dataclasses.make_dataclass(
+        cls.__name__,
+        [
+            (name, object, hidden) if (cls, name) == (Violation, "subject") else name
+            for name in fields
+        ],
+        frozen=True,
+    )
+    twins = [twin_type(*(getattr(record, name) for name in fields)) for record in instances]
+
+    for record, twin in zip(instances, twins):
+        assert type(record) is cls
+        assert vars(record).keys() >= set(fields)  # defaults too
+        assert repr(record) == repr(twin)
+        assert hash(record) == hash(twin)
+        assert record != twin
+        bound = positional_fields(record)
+        assert bound == positional_fields(twin)
+        assert all(value is getattr(record, name) for value, name in zip(bound, fields))
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(clone) is cls
+            assert clone == record
+            assert hash(clone) == hash(record)
+    equalities = [[a == b for b in instances] for a in instances]
+    assert equalities == [[a == b for b in twins] for a in twins]
+    inequalities = [[a != b for b in instances] for a in instances]
+    assert inequalities == [[not e for e in row] for row in equalities]
+    assert not equalities[0][1]
+
+    for args, kwargs in (
+        ((*values, None), {}),  # one value too many
+        (values, {fields[0]: values[0]}),  # a field twice
+        ((), {**dict(zip(fields, values)), "extra": None}),
+        ((), {}),  # every record has a field without a default
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+    if cls is SchemaNC:
+        scored = instances[-1]
+        assert "total" not in vars(scored)
+        total = scored.total
+        assert vars(scored)["total"] is total
+        assert scored.total is total
 
 
 def test_relation_schema_accepts_bare_names():
