@@ -39,19 +39,32 @@ from .model import (
 class FDPartition(_Record):
     """Projected dependencies of one relation split by the superkey test.
 
-    ``preventing`` and ``non_preventing`` together are exactly the relation's
-    projected dependencies, in schema order. ``completeness_attributes`` is
-    the union of all attributes of non-preventing dependencies,
-    ``preventing_attributes`` the same for preventing ones; both are subsets
-    of the heading, and they may overlap.
+    ``preventing`` and ``non_preventing`` together are exactly the projected
+    dependencies of ``relation``, in schema order. The constructor derives
+    ``relation_name``, ``total_attributes`` (the heading's width) and the
+    attribute unions of the two tuples, ``completeness_attributes`` and
+    ``preventing_attributes``: subsets of the heading that may overlap.
     """
 
-    relation_name: str
+    relation: RelationSchema
     preventing: tuple[FunctionalDependency, ...]
     non_preventing: tuple[FunctionalDependency, ...]
-    completeness_attributes: frozenset[str]
-    preventing_attributes: frozenset[str]
-    total_attributes: int
+
+    def __init__(
+        self,
+        relation: RelationSchema,
+        preventing: tuple[FunctionalDependency, ...],
+        non_preventing: tuple[FunctionalDependency, ...],
+    ) -> None:
+        vars(self).update(
+            relation=relation,
+            preventing=preventing,
+            non_preventing=non_preventing,
+            relation_name=relation.name,
+            total_attributes=len(relation.attributes),
+            completeness_attributes=frozenset().union(*(fd.attributes for fd in non_preventing)),
+            preventing_attributes=frozenset().union(*(fd.attributes for fd in preventing)),
+        )
 
     @property
     def completeness_count(self) -> int:
@@ -79,14 +92,7 @@ def partition_preventing(
     superkey = {det: is_superkey(det, relation, projected) for det in determinants}
     preventing = tuple(fd for fd in projected if not superkey[fd.determinant_set])
     non_preventing = tuple(fd for fd in projected if superkey[fd.determinant_set])
-    return FDPartition(
-        relation_name=relation.name,
-        preventing=preventing,
-        non_preventing=non_preventing,
-        completeness_attributes=frozenset().union(*(fd.attributes for fd in non_preventing)),
-        preventing_attributes=frozenset().union(*(fd.attributes for fd in preventing)),
-        total_attributes=len(relation.attributes),
-    )
+    return FDPartition(relation, preventing, non_preventing)
 
 
 def classify_partition(

@@ -53,13 +53,30 @@ def fuzzy_membership(completeness: int, preventing: int, total: int) -> Fraction
 
 
 class RelationNC(_Record):
-    """Normalization completeness of one relation."""
+    """Normalization completeness of one relation: its normal form and partition.
 
-    relation_name: str
+    The constructor derives ``relation_name``, ``membership`` x and ``nc``
+    (N + x below BCNF, exactly 1 and 4 in BCNF).
+    """
+
     normal_form: NormalForm
     partition: FDPartition
-    membership: Fraction
-    nc: Fraction
+
+    def __init__(self, normal_form: NormalForm, partition: FDPartition) -> None:
+        if normal_form is NormalForm.BCNF:
+            membership, nc = Fraction(1), Fraction(4)
+        else:
+            c, p = partition.completeness_count, partition.preventing_count
+            n = partition.total_attributes
+            membership = fuzzy_membership(c, p, n)
+            nc = Fraction(2 * n * normal_form.value + c + n - p, 2 * n)
+        vars(self).update(
+            normal_form=normal_form,
+            partition=partition,
+            relation_name=partition.relation_name,
+            membership=membership,
+            nc=nc,
+        )
 
     @property
     def nc_display(self) -> str:
@@ -97,22 +114,7 @@ def relation_nc(
     dependencies is vacuously BCNF, so the membership formula never sees n = 0.
     """
     partition = partition_preventing(relation, fds)
-    form = classify_partition(relation, partition, mode, key_cap=key_cap)
-    if form is NormalForm.BCNF:
-        membership = Fraction(1)
-        nc = Fraction(4)
-    else:
-        c, p = partition.completeness_count, partition.preventing_count
-        n = partition.total_attributes
-        membership = fuzzy_membership(c, p, n)
-        nc = Fraction(2 * n * form.value + c + n - p, 2 * n)
-    return RelationNC(
-        relation_name=relation.name,
-        normal_form=form,
-        partition=partition,
-        membership=membership,
-        nc=nc,
-    )
+    return RelationNC(classify_partition(relation, partition, mode, key_cap=key_cap), partition)
 
 
 def schema_nc(

@@ -7,7 +7,8 @@ so callers can surface all problems at once. Analysis entry points assume a
 schema that validated without errors. The value types are records (see
 ``_Record``): ==, hash and repr run over their fields. Sets and name tuples
 derived from the fields are plain attributes built once, left out of the
-fields: ``FunctionalDependency`` and ``RelationSchema`` have constructors
+fields: ``FunctionalDependency`` and ``RelationSchema`` here, and
+``FDPartition`` and ``RelationNC`` in the scoring modules, have constructors
 that set fields and derived values in one step.
 ``ClassificationMode`` and ``truncated`` live here, so that parsing and
 rendering load no scoring module.

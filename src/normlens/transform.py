@@ -24,28 +24,50 @@ from .model import ClassificationMode, NormalForm, RelationSchema, Schema, _Reco
 class TransformStep(_Record):
     """One decomposition step with the scored schemas before and after it.
 
-    ``new_relation_bcnf`` records whether the freshly split-off relation is
-    already in BCNF. It usually is (its key determines everything it holds),
-    but an unrelated dependency can project into it with a non-superkey
-    determinant; such a relation is flagged here and split again later.
+    ``position`` indexes the source in ``nc_before.schema.relations``; after the
+    step the reduced relation holds it and the new relation comes last. The new
+    relation is usually in BCNF (``new_relation_bcnf``), but an unrelated
+    dependency can project into it with a non-superkey determinant.
     """
 
-    source_name: str
+    position: int
     moved_fd_labels: tuple[str, ...]
-    new_relation: RelationSchema
-    reduced_relation: RelationSchema
     nc_before: SchemaNC
     nc_after: SchemaNC
-    new_relation_bcnf: bool
+
+    @property
+    def source_name(self) -> str:
+        return self.nc_before.schema.relations[self.position].name
+
+    @property
+    def reduced_relation(self) -> RelationSchema:
+        return self.nc_after.schema.relations[self.position]
+
+    @property
+    def new_relation(self) -> RelationSchema:
+        return self.nc_after.schema.relations[-1]
+
+    @property
+    def new_relation_bcnf(self) -> bool:
+        return self.nc_after.per_relation[-1].normal_form is NormalForm.BCNF
 
 
 class TransformTrace(_Record):
-    """Full decomposition run: initial score, ordered steps, final score (each with its schema)."""
+    """Full decomposition run: initial score and ordered steps; the last step's score is final."""
 
     steps: tuple[TransformStep, ...]
     initial_nc: SchemaNC
-    final_nc: SchemaNC
-    unpreserved_fd_labels: tuple[str, ...]
+
+    @property
+    def final_nc(self) -> SchemaNC:
+        return self.steps[-1].nc_after if self.steps else self.initial_nc
+
+    @property
+    def unpreserved_fd_labels(self) -> tuple[str, ...]:
+        parts = [rnc.partition for rnc in self.final_nc.per_relation]
+        preserved = {fd for part in parts for fd in part.preventing + part.non_preventing}
+        fds = normalize_fds(self.initial_nc.schema.fds)
+        return tuple(fd.label for fd in fds if fd not in preserved)
 
 
 def decompose_step(
@@ -150,15 +172,7 @@ def decompose_step(
     # Every other relation's score carries over: seed the cached total with the difference.
     total = nc_before.total - nc_before.per_relation[position].nc + reduced_nc.nc + new_nc.nc
     nc_after.__dict__["total"] = total
-    return TransformStep(
-        source_name=source.name,
-        moved_fd_labels=labels,
-        new_relation=new_relation,
-        reduced_relation=reduced_relation,
-        nc_before=nc_before,
-        nc_after=nc_after,
-        new_relation_bcnf=new_nc.normal_form is NormalForm.BCNF,
-    )
+    return TransformStep(position, labels, nc_before, nc_after)
 
 
 def normalize_to_bcnf(
@@ -198,13 +212,4 @@ def normalize_to_bcnf(
         steps.append(step)
         nc = step.nc_after
 
-    parts = [rnc.partition for rnc in nc.per_relation]
-    preserved = {fd for part in parts for fd in part.preventing + part.non_preventing}
-    return TransformTrace(
-        steps=tuple(steps),
-        initial_nc=initial_nc,
-        final_nc=nc,
-        unpreserved_fd_labels=tuple(
-            fd.label for fd in normalize_fds(schema.fds) if fd not in preserved
-        ),
-    )
+    return TransformTrace(tuple(steps), initial_nc)

@@ -12,6 +12,7 @@ import normlens.completeness
 from normlens import (
     ClassificationMode,
     FDPartition,
+    FunctionalDependency,
     NormalForm,
     RelationSchema,
     Schema,
@@ -79,17 +80,23 @@ def test_truncated_floors_hundredths_of_any_rational(value):
     assert truncated(value) == f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
+def _fds_over(label, names):
+    """No FD for no names, else one FD whose attributes are exactly ``names``."""
+    return (FunctionalDependency(label, names[:1], names[1:]),) if names else ()
+
+
 def test_one_fraction_scores_equal_the_paper_formula(monkeypatch):
     # Every count triple up to twelve attributes, at every level below BCNF.
-    rel = RelationSchema("R", ("a",), ("a",))
     for n in range(1, 13):
+        attrs = tuple(f"a{i}" for i in range(n))
+        rel = RelationSchema("R", attrs, attrs[:1])
         for c in range(n + 1):
             for p in range(n + 1):
                 x = (Fraction(c, n) + (1 - Fraction(p, n))) / 2
                 assert fuzzy_membership(c, p, n) == x
-                partition = FDPartition(
-                    "R", (), (), frozenset(range(c)), frozenset(range(p)), n
-                )
+                partition = FDPartition(rel, _fds_over("P", attrs[:p]), _fds_over("C", attrs[:c]))
+                counts = (partition.completeness_count, partition.preventing_count)
+                assert (*counts, partition.total_attributes) == (c, p, n)
                 monkeypatch.setattr(
                     normlens.completeness, "partition_preventing", lambda *_: partition
                 )

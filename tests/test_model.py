@@ -176,26 +176,11 @@ RECORD_FIELDS = {
     ValidationReport: ("violations",),
     ParseDiagnostic: ("line", "column", "severity", "message", "code"),
     ParseResult: ("schema", "diagnostics"),
-    FDPartition: (
-        "relation_name",
-        "preventing",
-        "non_preventing",
-        "completeness_attributes",
-        "preventing_attributes",
-        "total_attributes",
-    ),
-    RelationNC: ("relation_name", "normal_form", "partition", "membership", "nc"),
+    FDPartition: ("relation", "preventing", "non_preventing"),
+    RelationNC: ("normal_form", "partition"),
     SchemaNC: ("schema", "mode", "per_relation"),
-    TransformStep: (
-        "source_name",
-        "moved_fd_labels",
-        "new_relation",
-        "reduced_relation",
-        "nc_before",
-        "nc_after",
-        "new_relation_bcnf",
-    ),
-    TransformTrace: ("steps", "initial_nc", "final_nc", "unpreserved_fd_labels"),
+    TransformStep: ("position", "moved_fd_labels", "nc_before", "nc_after"),
+    TransformTrace: ("steps", "initial_nc"),
 }
 
 

@@ -337,10 +337,20 @@ def test_carried_scores_equal_scores_recomputed_from_scratch(mode):
             assert step.new_relation_bcnf == (
                 relation_nc(step.new_relation, schema.fds, mode).normal_form is NormalForm.BCNF
             )
+            # The derived relations are the scored schemas' own objects.
+            relations_after = step.nc_after.schema.relations
+            assert step.reduced_relation is relations_after[step.position]
+            assert step.new_relation is relations_after[-1]
+            assert step.source_name == step.nc_before.schema.relations[step.position].name
             before = step.nc_after.schema
             steps_seen += 1
         assert trace.initial_nc == _scored_from_scratch(schema, mode)
         assert trace.final_nc == _scored_from_scratch(trace.final_nc.schema, mode)
+        assert trace.final_nc is (trace.steps[-1].nc_after if trace.steps else trace.initial_nc)
+        for nc in (trace.initial_nc, *(step.nc_after for step in trace.steps)):
+            for rnc in nc.per_relation:
+                assert rnc.relation_name == rnc.partition.relation.name
+                assert rnc.partition.total_attributes == len(rnc.partition.relation.attributes)
     assert steps_seen > 100
 
 
