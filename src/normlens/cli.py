@@ -16,7 +16,7 @@ import os
 import sys
 from typing import IO, Sequence
 
-from .dsl import ParseResult, _dumps, emit_report, parse_schema
+from .dsl import _BOOL, _TOP, ParseResult, _array, _names, _quote, _write_trace, emit_report, parse_schema
 from .errors import CapacityError, DecompositionError
 from .fd import DEFAULT_KEY_CAP, candidate_keys
 # normalize_fds is unused here, but bench/tests checks that the tracer patches it here.
@@ -130,21 +130,24 @@ def _read_input(target: str) -> str:
         raise OSError(f"not valid UTF-8 ({exc.reason} at offset {exc.start})") from exc
 
 
+_KEYS_PAD, _KEY_PAD = _TOP + "    ", _TOP + "      "  # a relation's key list, one key's names
+
+
 def _keys_report(schema: Schema, key_cap: int, format: str) -> str:
     rows = [
         (rel, candidate_keys(rel, schema.projected_fds(rel), cap=key_cap))
         for rel in schema.relations
     ]
     if format == "structured":
-        payload = {
-            "kind": "candidate_keys",
-            "schema": schema.name,
-            "relations": [
-                {"name": rel.name, "keys": [sorted(key) for key in keys]}
-                for rel, keys in rows
-            ],
-        }
-        return _dumps(payload)
+        relations = [
+            f'{{\n      "keys": {_array([_names(sorted(key), _KEY_PAD) for key in keys], _KEYS_PAD)},'
+            f'\n      "name": {_quote(rel.name)}\n    }}'
+            for rel, keys in rows
+        ]
+        return (
+            f'{{\n  "kind": "candidate_keys",\n  "relations": {_array(relations, _TOP)},'
+            f'\n  "schema": {_quote(schema.name)}\n}}\n'
+        )
     lines = [f"schema {schema.name}"]
     for rel, keys in rows:
         lines.append("")
@@ -155,22 +158,16 @@ def _keys_report(schema: Schema, key_cap: int, format: str) -> str:
 
 def _check_report(result: ParseResult, format: str) -> str:
     if format == "structured":
-        payload = {
-            "kind": "check",
-            "ok": result.ok,
-            "schema": result.schema.name if result.schema else None,
-            "diagnostics": [
-                {
-                    "line": d.line,
-                    "column": d.column,
-                    "severity": d.severity.value,
-                    "code": d.code,
-                    "message": d.message,
-                }
-                for d in result.diagnostics
-            ],
-        }
-        return _dumps(payload)
+        diagnostics = [
+            f'{{\n      "code": {_quote(d.code)},\n      "column": {d.column},\n      "line": {d.line},'
+            f'\n      "message": {_quote(d.message)},\n      "severity": {_quote(d.severity.value)}\n    }}'
+            for d in result.diagnostics
+        ]
+        name = _quote(result.schema.name) if result.schema else "null"
+        return (
+            f'{{\n  "diagnostics": {_array(diagnostics, _TOP)},\n  "kind": "check",'
+            f'\n  "ok": {_BOOL[result.ok]},\n  "schema": {name}\n}}\n'
+        )
     if result.ok and result.schema is not None:
         schema = result.schema
         warnings = sum(1 for d in result.diagnostics if d.severity is Severity.WARNING)
@@ -211,7 +208,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             from .transform import normalize_to_bcnf
 
             trace = normalize_to_bcnf(result.schema, mode, key_cap=args.key_cap)
-            out = emit_report(trace, args.format, dsl_snapshots=args.trace)
+            # A structured trace grows with the square of its steps: it is
+            # written below, each step as soon as it is rendered.
+            structured = args.format == "structured"
+            out = trace if structured else emit_report(trace, dsl_snapshots=args.trace)
         else:
             out = _keys_report(result.schema, args.key_cap, args.format)
     except CapacityError as exc:
@@ -224,7 +224,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if sys.stdout is None:  # started with stdout closed
             raise OSError("stdout is closed")
-        sys.stdout.write(out)
+        if isinstance(out, str):
+            sys.stdout.write(out)
+        else:
+            _write_trace(out, sys.stdout.write)
         sys.stdout.flush()
     except OSError as exc:
         _warn(f"normlens: cannot write output: {exc}")

@@ -16,16 +16,15 @@ findings come back as diagnostics anchored to the declaration that caused
 them.
 
 Reports render as text (schema totals as equations, e.g. "2.71 + 4 = 6.71")
-or as a stable JSON tree in which every exact rational appears as
-``{"num": ..., "den": ..., "display": ...}``.
+or as stable JSON, written by each record straight from its fields, in which
+every exact rational appears as ``{"num": ..., "den": ..., "display": ...}``.
 """
 
 from __future__ import annotations
 
-import functools
 import re
-from _json import encode_basestring_ascii  # the C encoder json.encoder re-exports
-from typing import TYPE_CHECKING, Any, Callable, Container
+from _json import encode_basestring_ascii as _quote  # the C encoder json.encoder re-exports
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .model import (
     IDENTIFIER,
@@ -43,9 +42,8 @@ from .model import (
 if TYPE_CHECKING:  # parsing needs none of these; emit_report imports what it renders
     from fractions import Fraction
 
-    from .classify import FDPartition
     from .completeness import RelationNC, SchemaNC
-    from .transform import TransformTrace
+    from .transform import TransformStep, TransformTrace
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _LIST = rf"{_IDENT}(?:\s*,\s*{_IDENT})*"
@@ -329,14 +327,147 @@ def emit_schema(schema: Schema) -> str:
 
 
 # --- report rendering -------------------------------------------------------
+#
+# Each record renders its own JSON text in the layout of
+# ``json.dumps(tree, indent=2, sort_keys=True)``, with no tree in between. A
+# renderer takes the record, ``pad`` (a newline and the indent of the line the
+# record ends on) and the report's cache; its f-strings spell the keys in sorted
+# order, each on its own line at ``pad + "  "``.
+
+_BOOL = ("false", "true")
+_TOP = "\n  "  # pad of a report's top-level values
 
 
-def _rational(value: Fraction) -> dict[str, Any]:
-    return {
-        "num": value.numerator,
-        "den": value.denominator,
-        "display": truncated(value),
-    }
+def _array(items: list[str], pad: str) -> str:
+    inner = pad + "  "
+    return f"[{inner}{(',' + inner).join(items)}{pad}]" if items else "[]"
+
+
+def _names(names: Iterable[str], pad: str) -> str:
+    return _array(list(map(_quote, names)), pad)
+
+
+def _shared(cache: dict, render: Callable[..., Any], obj: Any, pad: str) -> Any:
+    # render(obj, pad, cache), run once per object and pad; the entry keeps obj,
+    # so no other object takes its id while the cache lives.
+    entry = cache.get((id(obj), pad))
+    if entry is None:
+        entry = cache[id(obj), pad] = (obj, render(obj, pad, cache))
+    return entry[1]
+
+
+def _rational(value: Fraction, pad: str) -> str:
+    p1 = pad + "  "  # the display is digits and a point: nothing to escape
+    return (
+        f'{{{p1}"den": {value.denominator},{p1}"display": "{truncated(value)}",'
+        f'{p1}"num": {value.numerator}{pad}}}'
+    )
+
+
+def _relation(rel: RelationSchema, pad: str, cache: object) -> str:
+    p1 = pad + "  "
+    p2 = p1 + "  "
+    p3 = p2 + "  "
+    specs = [
+        f'{{{p3}"atomic": {_BOOL[bool(spec.atomic)]},{p3}"name": {_quote(spec.name)}{p2}}}'
+        for spec in rel.attributes
+    ]
+    return (
+        f'{{{p1}"attributes": {_array(specs, p1)},{p1}"key": {_names(rel.primary_key, p1)},'
+        f'{p1}"name": {_quote(rel.name)}{pad}}}'
+    )
+
+
+def _fds(fds: tuple[FunctionalDependency, ...], pad: str, cache: object) -> str:
+    p1 = pad + "  "
+    p2 = p1 + "  "
+    items = [
+        f'{{{p2}"dependents": {_names(fd.dependents, p2)},'
+        f'{p2}"determinant": {_names(fd.determinant, p2)},'
+        f'{p2}"label": {_quote(fd.label)}{p1}}}'
+        for fd in fds
+    ]
+    return _array(items, pad)
+
+
+def _schema(schema: Schema, pad: str, cache: dict) -> str:
+    p1 = pad + "  "
+    fds = _shared(cache, _fds, schema.fds, p1)
+    relations = [_shared(cache, _relation, rel, p1 + "  ") for rel in schema.relations]
+    return (
+        f'{{{p1}"fds": {fds},{p1}"name": {_quote(schema.name)},'
+        f'{p1}"relations": {_array(relations, p1)}{pad}}}'
+    )
+
+
+def _relation_nc(rnc: RelationNC, pad: str, cache: object) -> str:
+    p1 = pad + "  "
+    p2 = p1 + "  "
+    p3 = p2 + "  "
+    part, form = rnc.partition, rnc.normal_form
+    partition = (
+        f'{{{p2}"completeness_attributes": {_names(sorted(part.completeness_attributes), p2)},'
+        f'{p2}"counts": {{{p3}"completeness": {part.completeness_count},'
+        f'{p3}"preventing": {part.preventing_count},{p3}"total": {part.total_attributes}{p2}}},'
+        f'{p2}"non_preventing": {_names([fd.label for fd in part.non_preventing], p2)},'
+        f'{p2}"preventing": {_names([fd.label for fd in part.preventing], p2)},'
+        f'{p2}"preventing_attributes": {_names(sorted(part.preventing_attributes), p2)},'
+        f'{p2}"relation": {_quote(part.relation_name)}{p1}}}'
+    )
+    return (
+        f'{{{p1}"membership": {_rational(rnc.membership, p1)},'
+        f'{p1}"name": {_quote(rnc.relation_name)},{p1}"nc": {_rational(rnc.nc, p1)},'
+        f'{p1}"normal_form": {{{p2}"label": {_quote(form.label)},'
+        f'{p2}"level": {form.value}{p1}}},{p1}"partition": {partition}{pad}}}'
+    )
+
+
+def _schema_nc(nc: SchemaNC, pad: str, cache: dict, kind: str = "") -> str:
+    p1 = pad + "  "
+    relations = [_shared(cache, _relation_nc, rnc, p1 + "  ") for rnc in nc.per_relation]
+    return (
+        f'{{{kind}{p1}"mode": {_quote(nc.mode.value)},'
+        f'{p1}"relations": {_array(relations, p1)},{p1}"schema": {_quote(nc.schema.name)},'
+        f'{p1}"total": {_rational(nc.total, p1)}{pad}}}'
+    )
+
+
+def _step(step: TransformStep, pad: str, cache: dict) -> str:
+    p1 = pad + "  "
+    return (
+        f'{{{p1}"moved_fds": {_names(step.moved_fd_labels, p1)},'
+        f'{p1}"nc_after": {_shared(cache, _schema_nc, step.nc_after, p1)},'
+        f'{p1}"nc_before": {_shared(cache, _schema_nc, step.nc_before, p1)},'
+        f'{p1}"new_relation": {_shared(cache, _relation, step.new_relation, p1)},'
+        f'{p1}"new_relation_bcnf": {_BOOL[step.new_relation_bcnf]},'
+        f'{p1}"reduced_relation": {_shared(cache, _relation, step.reduced_relation, p1)},'
+        f'{p1}"schema_after": {_shared(cache, _schema, step.nc_after.schema, p1)},'
+        f'{p1}"source": {_quote(step.source_name)}{pad}}}'
+    )
+
+
+def _write_trace(trace: TransformTrace, write: Callable[[str], object]) -> None:
+    # Written step by step: only the text of records that later steps may share is kept.
+    cache: dict[tuple[int, str], Any] = {}
+    first, last = trace.initial_nc, trace.final_nc
+    write(
+        f'{{\n  "final": {_shared(cache, _schema, last.schema, _TOP)},'
+        f'\n  "final_nc": {_shared(cache, _schema_nc, last, _TOP)},'
+        f'\n  "initial": {_shared(cache, _schema, first.schema, _TOP)},'
+        f'\n  "initial_nc": {_shared(cache, _schema_nc, first, _TOP)},'
+        f'\n  "kind": "transform_trace",\n  "mode": {_quote(first.mode.value)},'
+        f'\n  "schema": {_quote(first.schema.name)},\n  "steps": '
+    )
+    pad = _TOP + "  "
+    separator = "[" + pad
+    for step in trace.steps:
+        write(separator + _step(step, pad, cache))
+        separator = "," + pad
+        # The next step's nc_before is this nc_after; nothing else reuses either text.
+        cache.pop((id(step.nc_before), pad + "  "), None)
+        cache.pop((id(step.nc_after.schema), pad + "  "), None)
+    unpreserved = _names(trace.unpreserved_fd_labels, _TOP)
+    write(f'{_TOP + "]" if trace.steps else "[]"},\n  "unpreserved_fds": {unpreserved}\n}}\n')
 
 
 def _labels(fds: tuple[FunctionalDependency, ...]) -> str:
@@ -352,87 +483,6 @@ def _equation(nc: SchemaNC) -> str:
         return nc.total_display
     terms = " + ".join(_term(r.nc) for r in nc.per_relation)
     return f"{terms} = {nc.total_display}"
-
-
-class _Memo(dict):
-    """One report's trees by the id of their source object.
-
-    ``memo(build, obj)`` is ``build(obj, memo)``, built on the first call for
-    ``obj`` only, so an object the report shares becomes one shared tree. Each
-    entry keeps ``obj``, so no other object takes its id while the memo lives.
-    """
-
-    def __call__(self, build: Callable[[Any, _Memo], Any], obj: object) -> Any:
-        entry = self.get(id(obj))
-        if entry is None:
-            entry = self[id(obj)] = (obj, build(obj, self))
-        return entry[1]
-
-
-def _relation_dict(rel: RelationSchema, memo: _Memo) -> dict[str, Any]:
-    return {
-        "name": rel.name,
-        "attributes": [
-            {"name": spec.name, "atomic": spec.atomic} for spec in rel.attributes
-        ],
-        "key": list(rel.primary_key),
-    }
-
-
-def _fd_list(fds: tuple[FunctionalDependency, ...], memo: _Memo) -> list[dict[str, Any]]:
-    return [
-        {
-            "label": fd.label,
-            "determinant": list(fd.determinant),
-            "dependents": list(fd.dependents),
-        }
-        for fd in fds
-    ]
-
-
-def _schema_dict(schema: Schema, memo: _Memo) -> dict[str, Any]:
-    return {
-        "name": schema.name,
-        "relations": [memo(_relation_dict, rel) for rel in schema.relations],
-        "fds": memo(_fd_list, schema.fds),
-    }
-
-
-def _partition_dict(partition: FDPartition) -> dict[str, Any]:
-    return {
-        "relation": partition.relation_name,
-        "preventing": [fd.label for fd in partition.preventing],
-        "non_preventing": [fd.label for fd in partition.non_preventing],
-        "completeness_attributes": sorted(partition.completeness_attributes),
-        "preventing_attributes": sorted(partition.preventing_attributes),
-        "counts": {
-            "completeness": partition.completeness_count,
-            "preventing": partition.preventing_count,
-            "total": partition.total_attributes,
-        },
-    }
-
-
-def _relation_nc_dict(rnc: RelationNC, memo: _Memo) -> dict[str, Any]:
-    return {
-        "name": rnc.relation_name,
-        "normal_form": {
-            "label": rnc.normal_form.label,
-            "level": rnc.normal_form.value,
-        },
-        "partition": _partition_dict(rnc.partition),
-        "membership": _rational(rnc.membership),
-        "nc": _rational(rnc.nc),
-    }
-
-
-def _schema_nc_dict(nc: SchemaNC, memo: _Memo) -> dict[str, Any]:
-    return {
-        "schema": nc.schema.name,
-        "mode": nc.mode.value,
-        "relations": [memo(_relation_nc_dict, r) for r in nc.per_relation],
-        "total": _rational(nc.total),
-    }
 
 
 def _text_schema_nc(nc: SchemaNC) -> list[str]:
@@ -454,13 +504,13 @@ def _text_schema_nc(nc: SchemaNC) -> list[str]:
     return lines
 
 
-def _snapshot_fd_lines(fds: tuple[FunctionalDependency, ...], memo: _Memo) -> list[str]:
-    return [f"    {_fd_line(fd)}" for fd in fds]
+def _snapshot_fd_lines(fds: tuple[FunctionalDependency, ...], indent: str, _: object) -> list[str]:
+    return [f"{indent}{_fd_line(fd)}" for fd in fds]
 
 
 def _text_trace(trace: TransformTrace, dsl_snapshots: bool) -> list[str]:
     # Every step's schema shares one FD tuple: its snapshot lines are rendered once.
-    memo = _Memo()
+    cache: dict[tuple[int, str], Any] = {}
     suffix = " [strict mode]" if trace.initial_nc.mode is ClassificationMode.STRICT else ""
     lines = [
         f"schema {trace.initial_nc.schema.name}: normalization trace{suffix}",
@@ -481,109 +531,13 @@ def _text_trace(trace: TransformTrace, dsl_snapshots: bool) -> list[str]:
         if dsl_snapshots:
             lines.append(f"  schema after step {number}:")
             lines += [f"    {text}" for text in _declaration_lines(step.nc_after.schema)]
-            lines += memo(_snapshot_fd_lines, step.nc_after.schema.fds)
+            lines += _shared(cache, _snapshot_fd_lines, step.nc_after.schema.fds, "    ")
     lines += [
         "",
         f"final NC: {_equation(trace.final_nc)}",
         f"unpreserved FDs: {', '.join(trace.unpreserved_fd_labels) or '(none)'}",
     ]
     return lines
-
-
-def _trace_dict(trace: TransformTrace, memo: _Memo) -> dict[str, Any]:
-    return {
-        "schema": trace.initial_nc.schema.name,
-        "mode": trace.initial_nc.mode.value,
-        "initial": memo(_schema_dict, trace.initial_nc.schema),
-        "initial_nc": memo(_schema_nc_dict, trace.initial_nc),
-        "steps": [
-            {
-                "source": step.source_name,
-                "moved_fds": list(step.moved_fd_labels),
-                "new_relation_bcnf": step.new_relation_bcnf,
-                "new_relation": memo(_relation_dict, step.new_relation),
-                "reduced_relation": memo(_relation_dict, step.reduced_relation),
-                "schema_after": memo(_schema_dict, step.nc_after.schema),
-                "nc_before": memo(_schema_nc_dict, step.nc_before),
-                "nc_after": memo(_schema_nc_dict, step.nc_after),
-            }
-            for step in trace.steps
-        ],
-        "final": memo(_schema_dict, trace.final_nc.schema),
-        "final_nc": memo(_schema_nc_dict, trace.final_nc),
-        "unpreserved_fds": list(trace.unpreserved_fd_labels),
-    }
-
-
-# JSON text of a leaf by its exact type, so bool is never read as int.
-_LEAVES: dict[type, Callable[[Any], str]] = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: ("false", "true").__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def _dumps(tree: Any, shared: Container[int] = frozenset()) -> str:
-    """``json.dumps(tree, indent=2, sort_keys=True) + "\\n"``, for the types reports hold.
-
-    Only str, int, bool, None, and lists and dicts with str keys are accepted;
-    anything else raises TypeError. A list or dict whose id is in ``shared`` is
-    encoded once per depth and its text reused, so the caller keeps each such
-    object alive and unchanged until this returns.
-    """
-    chunks: list[str] = []
-    fragments: dict[tuple[int, int], str] = {}
-
-    def encode(node: Any, depth: int) -> None:
-        leaf = _LEAVES.get(type(node))
-        if leaf is not None:
-            chunks.append(leaf(node))
-        elif isinstance(node, str):
-            chunks.append(encode_basestring_ascii(node))
-        elif isinstance(node, int):  # a subclass; bool has none
-            chunks.append(int.__repr__(node))
-        elif not isinstance(node, (list, dict)):
-            raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
-        elif not node:
-            chunks.append("[]" if isinstance(node, list) else "{}")
-        elif (id(node), depth) in fragments:
-            chunks.append(fragments[id(node), depth])
-        else:
-            start = len(chunks)
-            indent = "\n" + "  " * (depth + 1)
-            if isinstance(node, list):
-                separator = "[" + indent
-                for item in node:
-                    leaf = _LEAVES.get(type(item))
-                    if leaf is None:
-                        chunks.append(separator)
-                        encode(item, depth + 1)
-                    else:
-                        chunks.append(separator + leaf(item))
-                    separator = "," + indent
-                chunks.append("\n" + "  " * depth + "]")
-            else:
-                separator = "{" + indent
-                for name, value in sorted(node.items()):
-                    if not isinstance(name, str):
-                        raise TypeError(f"keys must be str, not {type(name).__name__}")
-                    leaf = _LEAVES.get(type(value))
-                    if leaf is None:
-                        chunks.append(f"{separator}{encode_basestring_ascii(name)}: ")
-                        encode(value, depth + 1)
-                    else:
-                        chunks.append(f"{separator}{encode_basestring_ascii(name)}: {leaf(value)}")
-                    separator = "," + indent
-                chunks.append("\n" + "  " * depth + "}")
-            if id(node) in shared:
-                fragment = fragments[id(node), depth] = "".join(chunks[start:])
-                chunks[start:] = [fragment]
-
-    encode(tree, 0)
-    del encode  # the closure refers to itself; drop it so the chunks go with this frame
-    chunks.append("\n")
-    return "".join(chunks)
 
 
 def emit_report(
@@ -596,25 +550,27 @@ def emit_report(
 
     ``dsl_snapshots`` adds the schema after every step, in DSL form, to the
     text rendering of a trace (the structured form always embeds schemas).
-    Structured output equals ``json.dumps(tree, indent=2, sort_keys=True)``
-    plus a newline; an object the report shares, such as a score carried over
-    from step to step, is built and encoded once per depth.
+    Structured output is what ``json.dumps(tree, indent=2, sort_keys=True)``
+    plus a newline gives for the report's tree, but no tree is built: each
+    record writes its own JSON text, and a record the report shares, such as
+    a score carried over from step to step, is rendered once per indent. The
+    CLI streams a structured trace to stdout step by step with the same
+    renderers.
     """
     if format not in ("text", "structured"):
         raise ValueError(f"unknown report format {format!r}")
     from .completeness import SchemaNC
 
     if isinstance(report, SchemaNC):
-        kind, as_dict, as_text = "schema_nc", _schema_nc_dict, _text_schema_nc
-    else:
-        from .transform import TransformTrace
+        if format == "text":
+            return "\n".join(_text_schema_nc(report)) + "\n"
+        return _schema_nc(report, "\n", {}, kind='\n  "kind": "schema_nc",') + "\n"
+    from .transform import TransformTrace
 
-        if not isinstance(report, TransformTrace):
-            raise TypeError(f"cannot render {type(report).__name__} as a report")
-        kind, as_dict = "transform_trace", _trace_dict
-        as_text = functools.partial(_text_trace, dsl_snapshots=dsl_snapshots)
-    if format == "structured":
-        memo = _Memo()
-        tree = {"kind": kind, **as_dict(report, memo)}
-        return _dumps(tree, {id(built) for _, built in memo.values()})
-    return "\n".join(as_text(report)) + "\n"
+    if not isinstance(report, TransformTrace):
+        raise TypeError(f"cannot render {type(report).__name__} as a report")
+    if format == "text":
+        return "\n".join(_text_trace(report, dsl_snapshots)) + "\n"
+    chunks: list[str] = []
+    _write_trace(report, chunks.append)
+    return "".join(chunks)

@@ -312,6 +312,31 @@ def test_closed_stdout_exits_4_with_one_line():
     assert done.stderr.decode().splitlines() == ["normlens: cannot write output: stdout is closed"]
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes a pipe under a running child")
+def test_a_reader_that_stops_early_gets_a_prefix_and_exit_4(case_study, tmp_path):
+    # The structured trace is written step by step, megabytes in all: far more
+    # than a pipe holds, so the child is still writing when the pipe closes.
+    path = tmp_path / "copies.nls"
+    path.write_text(emit_schema(fixture_copies(case_study, 10)), encoding="utf-8")
+    argv = ("normalize", "--format", "structured", str(path))
+    full = run_process(*argv).stdout
+    child = subprocess.Popen(
+        [sys.executable, "-m", "normlens", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    head = child.stdout.read(4096)
+    child.stdout.close()
+    lines = child.stderr.read().decode().splitlines()
+    child.stderr.close()
+    assert child.wait() == 4
+    assert len(full) > 1_000_000
+    assert head == full[:4096]
+    assert len(lines) == 1
+    assert lines[0].startswith("normlens: cannot write output: ")
+
+
 @pytest.mark.skipif(
     os.name != "posix" or not os.path.exists("/dev/full"), reason="needs POSIX and /dev/full"
 )

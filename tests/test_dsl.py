@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from normlens import (
     AttributeSpec,
     ClassificationMode,
-    NormalForm,
+    DecompositionError,
     RelationSchema,
     Schema,
     Severity,
@@ -27,9 +30,10 @@ from normlens import (
     schema_nc,
 )
 from normlens import dsl
+from normlens.cli import main
 
 from conftest import CASE_STUDY_PATH, fixture_copies
-from corpus import build_corpus, fd
+from corpus import build_corpus, build_multi_corpus, fd
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -492,93 +496,66 @@ def test_emit_report_rejects_unknown_formats_and_types(case_study):
         emit_report(partition_preventing(case_study.relations[0], case_study.fds))
 
 
-# --- structured encoding -------------------------------------------------------
+# --- structured rendering ------------------------------------------------------
 
-_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=2**63, max_value=2**90)
-    | st.integers(min_value=-(2**90), max_value=-(2**63) - 1)
-    | st.text(max_size=6)
-    | st.sampled_from(["", "\x00", "\x1f\x7f", "\u2028", "caf\u00e9", "\U0001f600", '"\\/'])
-)
-_trees = st.recursive(
-    _scalars,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=4), children, max_size=4),
-    max_leaves=24,
-)
+_DOCUMENTS = [emit_schema(schema) for schema, _keys in build_corpus(100)]
+_DOCUMENTS += [emit_schema(schema) for schema in build_multi_corpus(40)]
+# A line's first token, which check quotes when it starts no declaration.
+_BAD_TOKENS = st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)).filter(
+    lambda char: char.isprintable() and not char.isspace()
+) | st.sampled_from(['"', "\\", "\U0001f600"])
 
 
-def _container_ids(tree) -> set[int]:
-    ids, stack = set(), [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (list, dict)):
-            ids.add(id(node))
-            stack.extend(node.values() if isinstance(node, dict) else node)
-    return ids
+def _structured(command: str, mode: ClassificationMode, text: str) -> str:
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out):
+        with contextlib.redirect_stderr(io.StringIO()):
+            main([command, "--mode", mode.value, "--format", "structured"])
+    return out.getvalue()
 
 
-@settings(max_examples=300)
-@given(_trees, _trees.filter(lambda part: isinstance(part, (list, dict))))
-def test_the_encoder_equals_json_dumps(tree, part):
-    # One part sits at depths 1, 2 (twice) and 3, and inside the random tree.
-    wrapped = {"at_1": part, "twice_at_2": [part, part], "at_3": {"in": [part]}, "tree": tree}
-    for case in (tree, wrapped):
-        expected = json.dumps(case, indent=2, sort_keys=True) + "\n"
-        assert dsl._dumps(case) == expected
-        assert dsl._dumps(case, _container_ids(case)) == expected
-
-
-class _Text(str):
-    pass
-
-
-class _Count(int):
-    def __repr__(self) -> str:
-        return "many"
-
-    __str__ = __repr__
-
-
-@pytest.mark.parametrize(
-    "leaf", [True, False, None, 0, -(2**70), NormalForm.BCNF, _Count(3), _Text("x\u00e9"), ""]
-)
-def test_the_encoder_reads_leaves_of_subclasses_and_bool_as_json_dumps_does(leaf):
-    # Exact types take the encoder's leaf table; bool and IntEnum must not read as int.
-    for tree in ({"k": leaf}, [leaf], [[leaf, {"j": leaf}]], {"k": [leaf, leaf]}):
-        assert dsl._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
-
-
-@pytest.mark.parametrize(
-    "tree",
-    [1.5, (1, 2), {1: "a"}, ["ok", {"k": float("nan")}], {"a": {"b": (None,)}}, {"a": {2: None}}],
-    ids=["float", "tuple", "int-key", "nested-float", "nested-tuple", "nested-int-key"],
-)
-def test_the_encoder_rejects_what_reports_never_hold(tree):
-    with pytest.raises(TypeError):
-        dsl._dumps(tree)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_DOCUMENTS), st.sampled_from(ClassificationMode), st.none() | _BAD_TOKENS)
+def test_structured_output_equals_json_dumps_of_itself(text, mode, bad):
+    if bad is not None:
+        text += f"relation caf\u00e9(a) key(a)\n{bad} x\n"
+    schema = parse_schema(text).schema
+    reports = {}
+    if schema is not None:
+        reports["analyze"] = schema_nc(schema, mode)
+        with contextlib.suppress(DecompositionError):
+            reports["normalize"] = normalize_to_bcnf(schema, mode)
+    written = {"check"} if schema is None else {"check", "keys", *reports}
+    for command in ("check", "keys", "analyze", "normalize"):
+        out = _structured(command, mode, text)
+        assert bool(out) == (command in written)
+        if out:
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        if command in reports:  # the CLI streams a trace; emit_report returns it whole
+            assert emit_report(reports[command], "structured") == out
+        if command == "check" and bad is not None:
+            assert json.dumps(bad)[1:-1] in out
 
 
 @pytest.mark.parametrize("mode", list(ClassificationMode))
 def test_a_structured_trace_builds_each_score_once(case_study, monkeypatch, mode):
     trace = normalize_to_bcnf(fixture_copies(case_study, 8), mode)
     calls = []
-    original = dsl._relation_nc_dict
+    original = dsl._relation_nc
 
-    def counting(*args):
-        calls.append(args[0])
-        return original(*args)
+    def counting(rnc, pad, cache):
+        calls.append((id(rnc), pad))
+        return original(rnc, pad, cache)
 
-    monkeypatch.setattr(dsl, "_relation_nc_dict", counting)
+    monkeypatch.setattr(dsl, "_relation_nc", counting)
     out = emit_report(trace, "structured")
     scores = [trace.initial_nc, trace.final_nc]
-    scores += [nc for step in trace.steps for nc in (step.nc_before, step.nc_after)]
-    distinct = {id(rnc) for nc in scores for rnc in nc.per_relation}
-    assert 0 < len(calls) <= len(distinct)
-    assert out.count('"membership"') == sum(len(nc.per_relation) for nc in scores)
+    steps = [nc for step in trace.steps for nc in (step.nc_before, step.nc_after)]
+    # Each score renders once per indent: the top-level scores' and the steps'.
+    distinct = [{id(rnc) for nc in ncs for rnc in nc.per_relation} for ncs in (scores, steps)]
+    assert len(calls) == len(set(calls)) == sum(map(len, distinct))
+    assert out.count('"membership"') == sum(len(nc.per_relation) for nc in scores + steps)
 
 
 def test_a_text_trace_renders_the_shared_fd_block_once(case_study, monkeypatch):
