@@ -159,7 +159,7 @@ def _keys_report(schema: Schema, key_cap: int, format: str) -> str:
 def _check_report(result: ParseResult, format: str) -> str:
     if format == "structured":
         diagnostics = [
-            f'{{\n      "code": {_quote(d.code)},\n      "column": {d.column},\n      "line": {d.line},'
+            f'{{\n      "code": {_quote(d.code)},\n      "column": {d.column:d},\n      "line": {d.line:d},'
             f'\n      "message": {_quote(d.message)},\n      "severity": {_quote(d.severity.value)}\n    }}'
             for d in result.diagnostics
         ]

@@ -18,6 +18,7 @@ from normlens import (
     AttributeSpec,
     ClassificationMode,
     DecompositionError,
+    NormalForm,
     RelationSchema,
     Schema,
     Severity,
@@ -30,7 +31,7 @@ from normlens import (
     schema_nc,
 )
 from normlens import dsl
-from normlens.cli import main
+from normlens.cli import _check_report, main
 
 from conftest import CASE_STUDY_PATH, fixture_copies
 from corpus import build_corpus, build_multi_corpus, fd
@@ -517,7 +518,7 @@ def _structured(command: str, mode: ClassificationMode, text: str) -> str:
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(_DOCUMENTS), st.sampled_from(ClassificationMode), st.none() | _BAD_TOKENS)
-def test_structured_output_equals_json_dumps_of_itself(text, mode, bad):
+def test_the_encoder_equals_json_dumps(text, mode, bad):
     if bad is not None:
         text += f"relation caf\u00e9(a) key(a)\n{bad} x\n"
     schema = parse_schema(text).schema
@@ -536,6 +537,42 @@ def test_structured_output_equals_json_dumps_of_itself(text, mode, bad):
             assert emit_report(reports[command], "structured") == out
         if command == "check" and bad is not None:
             assert json.dumps(bad)[1:-1] in out
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    def __repr__(self) -> str:
+        return "many"
+
+    __str__ = __repr__
+
+
+@pytest.mark.parametrize(
+    "leaf", [True, False, None, 0, -(2**70), NormalForm.BCNF, _Count(3), _Text("x\u00e9"), ""]
+)
+def test_the_encoder_reads_leaves_of_subclasses_and_bool_as_json_dumps_does(leaf):
+    # The leaf fills every field of its JSON kind in a relation and a check payload;
+    # bool and IntEnum must not read as int, nor a subclass through its own str().
+    name = leaf if isinstance(leaf, str) else "R"
+    atomic = leaf if isinstance(leaf, bool) else True
+    number = leaf if isinstance(leaf, int) and not isinstance(leaf, bool) else 1
+    rel = RelationSchema(name, [AttributeSpec(name, atomic)], [name])
+    tree = {"attributes": [{"atomic": atomic, "name": name}], "key": [name], "name": name}
+    assert dsl._relation(rel, "\n", {}) == json.dumps(tree, indent=2, sort_keys=True)
+    diagnostic = dsl.ParseDiagnostic(number, number, Severity.WARNING, name, name)
+    result = dsl.ParseResult(None if leaf is None else Schema(name, [rel]), (diagnostic,))
+    tree = {
+        "diagnostics": [
+            {"code": name, "column": number, "line": number, "message": name, "severity": "warning"}
+        ],
+        "kind": "check",
+        "ok": True,
+        "schema": None if leaf is None else name,
+    }
+    assert _check_report(result, "structured") == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("mode", list(ClassificationMode))
