@@ -10,6 +10,10 @@ Grammar ('#' starts a comment, blank lines are skipped):
     ident-list    := IDENT ("," IDENT)*
     IDENT         := [A-Za-z_][A-Za-z0-9_]*
 
+The code reads this grammar from one table, ``_GRAMMAR``: it builds the
+regular expression that reads a well-formed line and drives the token walk
+that places a rejected line's error.
+
 The parser recovers per line and reports every diagnostic with a 1-based
 line and column. Semantic rules are delegated to ``validate_schema``; its
 findings come back as diagnostics anchored to the declaration that caused
@@ -46,16 +50,44 @@ if TYPE_CHECKING:  # parsing needs none of these; emit_report imports what it re
     from .transform import TransformStep, TransformTrace
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_LIST = rf"{_IDENT}(?:\s*,\s*{_IDENT})*"
 _TOKEN_RE = re.compile(rf"{_IDENT}|->|[(),:*]|\S")
 _IDENT_RE = re.compile(_IDENT)
 _ATTRIBUTE_RE = re.compile(rf"({_IDENT})(?:\s*(\*))?")
+
+# The grammar: each keyword's steps after it, in order. A step is a literal token,
+# a name, the attribute list (names that may carry '*') or a name list, with the
+# words its error messages use.
+_GRAMMAR: dict[str, tuple[tuple[str, str], ...]] = {
+    "schema": (("name", "schema name"),),
+    "relation": (
+        ("name", "relation name"), ("token", "("), ("attributes", "attribute"), ("token", ")"),
+        ("token", "key"), ("token", "("), ("names", "key"), ("token", ")"),
+    ),
+    "fd": (
+        ("name", "fd label"), ("token", ":"), ("names", "determinant"), ("token", "->"),
+        ("names", "dependent"),
+    ),
+}
+
+
+def _pattern(keyword: str) -> str:
+    # A keyword's steps as one regular expression, a group per name and list. \s is the
+    # whitespace the tokenizer skips; a name step follows its keyword, so needs some.
+    pattern = keyword
+    for kind, what in _GRAMMAR[keyword]:
+        if kind == "token":
+            pattern += r"\s*" + ("\\" + what if what in "()" else what)
+        elif kind == "name":
+            pattern += rf"\s+({_IDENT})"
+        else:
+            item = _IDENT + (r"(?:\s*\*)?" if kind == "attributes" else "")
+            pattern += rf"\s*({item}(?:\s*,\s*{item})*)"
+    return pattern
+
+
 # A whole well-formed relation line (groups: name, attributes, key) or fd line
-# (groups: label, determinant, dependents); \s is the whitespace the tokenizer skips.
-_DECLARATION_RE = re.compile(
-    rf"\s*(?:relation\s+({_IDENT})\s*\(\s*({_IDENT}(?:\s*\*)?(?:\s*,\s*{_IDENT}(?:\s*\*)?)*)"
-    rf"\s*\)\s*key\s*\(\s*({_LIST})\s*\)|fd\s+({_IDENT})\s*:\s*({_LIST})\s*->\s*({_LIST}))\s*"
-)
+# (groups: label, determinant, dependents).
+_DECLARATION_RE = re.compile(rf"\s*(?:{_pattern('relation')}|{_pattern('fd')})\s*")
 
 
 class ParseDiagnostic(_Record):
@@ -88,103 +120,52 @@ class ParseResult(_Record):
         )
 
 
-class _LineError(Exception):
-    """Abort parsing of the current line; the diagnostic is already recorded."""
+def _error(sink: list[ParseDiagnostic], line_no: int, column: int, message: str) -> None:
+    sink.append(ParseDiagnostic(line_no, column, Severity.ERROR, message))
 
 
-class _LineParser:
-    def __init__(self, sink: list[ParseDiagnostic], line_no: int, content: str):
-        self.sink = sink
-        self.line_no = line_no
-        self.tokens: list[tuple[str | None, int]] = [
-            (m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(content)
-        ]
-        # End of line: no text, one column past the last non-blank character.
-        self.tokens.append((None, len(content.rstrip()) + 1))
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0]
-
-    def next_col(self) -> int:
-        return self.tokens[self.pos][1]
-
-    def take(self) -> tuple[str, int]:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def error(self, message: str, column: int | None = None) -> None:
-        self.sink.append(
-            ParseDiagnostic(
-                self.line_no,
-                self.next_col() if column is None else column,
-                Severity.ERROR,
-                message,
-            )
-        )
-        raise _LineError
-
-    def expect(self, token: str) -> None:
-        if self.peek() != token:
-            self.error(f"expected '{token}'")
-        self.take()
-
-    def expect_ident(self, what: str) -> str:
-        text = self.peek()
-        if text is None or not IDENTIFIER.match(text):
-            self.error(f"expected {what}")
-        return self.take()[0]
-
-    def expect_end(self, context: str) -> None:
-        if self.peek() is not None:
-            self.error(f"unexpected text after {context}")
-
-    def ident_list(self, what: str) -> None:
-        # "empty determinant list" / "empty dependent list" / "empty key list"
-        text = self.peek()
-        if text is None or not IDENTIFIER.match(text):
-            self.error(f"empty {what} list")
-        names: set[str] = set()
-        while True:
-            col = self.next_col()
-            name = self.expect_ident(f"{what} attribute")
-            if name in names:
-                self.sink.append(_duplicate(self.line_no, col, name, what))
-            names.add(name)
-            if self.peek() != ",":
-                return
-            self.take()
-
-    def declaration(self, head: str, head_col: int) -> None:
-        # Only lines _DECLARATION_RE rejects come here: the walk only places their error.
-        if head == "relation":
-            self.expect_ident("relation name")
-            self.expect("(")
-            if self.peek() == ")":
-                self.error("empty attribute list")
+def _walk(sink: list[ParseDiagnostic], line_no: int, content: str) -> str | None:
+    # Walks a line's tokens through its keyword's steps: a line the match rejected,
+    # to place its error, or the schema line. Records any repeated-name warning and
+    # the first error, and returns the line's name when it has no error.
+    tokens = [(m[0], m.start() + 1) for m in _TOKEN_RE.finditer(content)]
+    # End of line: no text, one column past the last non-blank character.
+    tokens.append((None, len(content.rstrip()) + 1))
+    head, column = tokens[0]
+    if head not in _GRAMMAR:
+        return _error(sink, line_no, column, f"expected 'schema', 'relation' or 'fd', got {head!r}")
+    name, at = None, 1
+    for kind, what in _GRAMMAR[head]:
+        text, column = tokens[at]
+        if kind == "token":
+            if text != what:
+                return _error(sink, line_no, column, f"expected '{what}'")
+            at += 1
+        elif kind == "name":
+            if not IDENTIFIER.match(text or ""):
+                return _error(sink, line_no, column, f"expected {what}")
+            name, at = text, at + 1
+        else:  # names apart by commas; in the attribute list each may carry a '*'
+            starred = kind == "attributes"
+            if (text == ")") if starred else not IDENTIFIER.match(text or ""):
+                return _error(sink, line_no, column, f"empty {what} list")
+            seen: set[str] = set()
             while True:
-                self.expect_ident("attribute name")
-                if self.peek() == "*":
-                    self.take()
-                if self.peek() != ",":
+                text, column = tokens[at]
+                if not IDENTIFIER.match(text or ""):
+                    item = "name" if starred else "attribute"
+                    return _error(sink, line_no, column, f"expected {what} {item}")
+                if text in seen and not starred:
+                    sink.append(_duplicate(line_no, column, text, what))
+                seen.add(text)
+                at += 2 if starred and tokens[at + 1][0] == "*" else 1
+                if tokens[at][0] != ",":
                     break
-                self.take()
-            self.expect(")")
-            self.expect("key")
-            self.expect("(")
-            self.ident_list("key")
-            self.expect(")")
-            self.expect_end("relation declaration")
-        elif head == "fd":
-            self.expect_ident("fd label")
-            self.expect(":")
-            self.ident_list("determinant")
-            self.expect("->")
-            self.ident_list("dependent")
-            self.expect_end("fd declaration")
-        else:
-            self.error(f"expected 'schema', 'relation' or 'fd', got {head!r}", head_col)
+                at += 1
+    text, column = tokens[at]
+    if text is not None:
+        return _error(sink, line_no, column, f"unexpected text after {head} declaration")
+    return name
 
 
 def _duplicate(line_no: int, column: int, name: str, what: str) -> ParseDiagnostic:
@@ -248,7 +229,7 @@ def parse_schema(text: str) -> ParseResult:
         if not content.strip():
             continue
         match = _DECLARATION_RE.fullmatch(content)
-        # A declaration out of order goes on to the walk below, which reports it.
+        # A declaration out of order goes on to the checks below, which report it.
         if match and schema_name is not None and (match[4] or not fds):
             if match[1]:
                 specs = _ATTRIBUTE_RE.findall(content, *match.span(2))
@@ -262,33 +243,26 @@ def parse_schema(text: str) -> ParseResult:
                 fds.append(FunctionalDependency(match[4], determinant, dependents))
                 fd_at.append((line_no, match.start(4) + 1))
             continue
-        lp = _LineParser(diagnostics, line_no, content)
-        head, head_col = lp.take()
-        try:
-            if head in ("relation", "fd") and schema_name is None:
-                lp.error("expected 'schema' declaration first", head_col)
-            if head == "schema":
-                if schema_name is not None:
-                    lp.error("duplicate schema declaration", head_col)
-                name = lp.expect_ident("schema name")
-                lp.expect_end("schema declaration")
-                schema_name = name
-                schema_anchor = (line_no, head_col)
-            elif head == "relation" and fds:
-                lp.error("relation declarations must come before fd declarations", head_col)
-            else:
-                lp.declaration(head, head_col)
-        except _LineError:
-            continue
+        first = _TOKEN_RE.search(content)
+        head, column = first[0], first.start() + 1
+        if head in ("relation", "fd") and schema_name is None:
+            _error(diagnostics, line_no, column, "expected 'schema' declaration first")
+        elif head == "schema" and schema_name is not None:
+            _error(diagnostics, line_no, column, "duplicate schema declaration")
+        elif head == "relation" and fds:
+            message = "relation declarations must come before fd declarations"
+            _error(diagnostics, line_no, column, message)
+        else:
+            # The match took every well-formed relation and fd line in order, so
+            # only a schema line can pass the walk.
+            name = _walk(diagnostics, line_no, content)
+            if name is not None:
+                schema_name, schema_anchor = name, (line_no, column)
 
     if schema_name is None:
-        diagnostics.append(
-            ParseDiagnostic(1, 1, Severity.ERROR, "missing schema declaration")
-        )
+        _error(diagnostics, 1, 1, "missing schema declaration")
     elif not relations:
-        diagnostics.append(
-            ParseDiagnostic(*schema_anchor, Severity.ERROR, "schema declares no relations")
-        )
+        _error(diagnostics, *schema_anchor, "schema declares no relations")
 
     if any(d.severity is Severity.ERROR for d in diagnostics):
         return ParseResult(None, tuple(diagnostics))

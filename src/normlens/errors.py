@@ -20,7 +20,7 @@ class UnknownRelationError(NormlensError, LookupError):
 
 
 class AlreadyBCNFError(NormlensError):
-    """Decomposition requested on a relation with no preventing dependency."""
+    """Decomposition requested on a relation that is already in BCNF."""
 
 
 class DecompositionError(NormlensError):

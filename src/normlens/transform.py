@@ -87,12 +87,14 @@ def decompose_step(
     schema already has it; the reduced relation keeps the source name by
     default; ``rename`` maps default names to wanted ones. Raises ValueError
     when the score's relation names are not its schema's, UnknownRelationError
-    when no relation has the name, AlreadyBCNFError when the relation has no
-    preventing dependency, DecompositionError when several relations have the
-    name, when the group moves no attribute (a trivial or dependent-less FD),
-    when a moved dependent belongs to the source primary key (the step would
-    break the key) or when renaming collides with an existing relation, all
-    before any scoring (so before strict mode's CapacityError).
+    when no relation has the name, AlreadyBCNFError when the relation is in
+    BCNF, DecompositionError when several relations have the name, when the
+    relation is below BCNF with no preventing dependency (splitting cannot
+    atomize an attribute or shrink an oversized key), when the group moves no
+    attribute (a trivial or dependent-less FD), when a moved dependent belongs
+    to the source primary key (the step would break the key) or when renaming
+    collides with an existing relation, all before any scoring (so before
+    strict mode's CapacityError).
     """
     schema, mode = nc_before.schema, nc_before.mode
     if [r.relation_name for r in nc_before.per_relation] != [r.name for r in schema.relations]:
@@ -109,10 +111,16 @@ def decompose_step(
         )
     position = matches[0]
     source = schema.relations[position]
-    partition = nc_before.per_relation[position].partition
+    scored = nc_before.per_relation[position]
+    partition = scored.partition
     if not partition.preventing:
-        raise AlreadyBCNFError(
-            f"relation {relation_name!r} has no preventing dependency to split off"
+        if scored.normal_form is NormalForm.BCNF:
+            raise AlreadyBCNFError(
+                f"relation {relation_name!r} has no preventing dependency to split off"
+            )
+        raise DecompositionError(
+            f"relation {relation_name!r} is below BCNF but has no preventing"
+            f" dependency; decomposition cannot raise it further"
         )
 
     first = partition.preventing[0]
@@ -170,7 +178,7 @@ def decompose_step(
     scores[position] = reduced_nc
     nc_after = SchemaNC(schema_after, mode, (*scores, new_nc))
     # Every other relation's score carries over: seed the cached total with the difference.
-    total = nc_before.total - nc_before.per_relation[position].nc + reduced_nc.nc + new_nc.nc
+    total = nc_before.total - scored.nc + reduced_nc.nc + new_nc.nc
     nc_after.__dict__["total"] = total
     return TransformStep(position, labels, nc_before, nc_after)
 
@@ -203,11 +211,6 @@ def normalize_to_bcnf(
         )
         if target is None:
             break
-        if not target.partition.preventing:
-            raise DecompositionError(
-                f"relation {target.relation_name!r} is below BCNF but has no preventing"
-                f" dependency; decomposition cannot raise it further"
-            )
         step = decompose_step(nc, target.relation_name, rename=rename, key_cap=key_cap)
         steps.append(step)
         nc = step.nc_after

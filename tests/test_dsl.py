@@ -235,11 +235,7 @@ def test_the_line_match_accepts_exactly_what_the_token_walk_accepts(tokens, data
     assume(content.strip())
 
     walk: list[dsl.ParseDiagnostic] = []
-    walker = dsl._LineParser(walk, 1, content)
-    try:
-        walker.declaration(*walker.take())
-    except dsl._LineError:
-        pass
+    dsl._walk(walk, 1, content)
     matched = dsl._DECLARATION_RE.fullmatch(content) is not None
     assert matched == (not any(d.severity is Severity.ERROR for d in walk)), content
     if not matched:
@@ -315,6 +311,20 @@ _NO_RELATIONS = (1, 1, "error", "schema declares no relations")
          [(3, 11, "warning", "duplicate attribute 'a' in determinant list (ignored)")]),
         (_REL + "fd F1: a -> b\nrelation T(c) key(c)",
          [(4, 1, "error", "relation declarations must come before fd declarations")]),
+        (_HEAD + "relation R(a, b) key(a,)",
+         [(2, 24, "error", "expected key attribute"), _NO_RELATIONS]),
+        (_REL + "fd F1: a, -> b", [(3, 11, "error", "expected determinant attribute")]),
+        (_REL + "fd F1: a, a ->",
+         [(3, 11, "warning", "duplicate attribute 'a' in determinant list (ignored)"),
+          (3, 15, "error", "empty dependent list")]),
+        (_HEAD + "relation R(a, b) key(a, a",
+         [(2, 25, "warning", "duplicate attribute 'a' in key list (ignored)"),
+          (2, 26, "error", "expected ')'"), _NO_RELATIONS]),
+        (_HEAD + "relation R(a*, b*,) key(a)",
+         [(2, 19, "error", "expected attribute name"), _NO_RELATIONS]),
+        (_REL + "fd F1: a -> b, b c",
+         [(3, 16, "warning", "duplicate attribute 'b' in dependent list (ignored)"),
+          (3, 18, "error", "unexpected text after fd declaration")]),
     ],
 )
 def test_syntax_messages_and_columns(text, expected):

@@ -135,6 +135,18 @@ def test_decompose_bcnf_relation_is_rejected():
         decompose_step(schema_nc(schema), "R")
 
 
+def test_a_relation_below_bcnf_with_no_preventing_fd_cannot_be_stepped():
+    # R_b(b, c*) keeps the non-atomic c: it is below BCNF, yet no split can raise it.
+    text = (REPO_ROOT / "tests/golden/unnormalized.nls").read_text(encoding="utf-8")
+    step = decompose_step(schema_nc(parse_schema(text).schema), "R")
+    with pytest.raises(DecompositionError, match="'R_b' is below BCNF"):
+        decompose_step(step.nc_after, "R_b")
+    atoms = (AttributeSpec("a"), AttributeSpec("b", atomic=False))
+    schema = Schema("s", (RelationSchema("U", atoms, ("a",)),), ())
+    with pytest.raises(DecompositionError, match="'U' is below BCNF"):
+        decompose_step(schema_nc(schema), "U")
+
+
 def test_moved_dependent_inside_primary_key_is_rejected():
     schema = Schema(
         "s",
