@@ -23,8 +23,6 @@ sets, so classification has two modes:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .fd import DEFAULT_KEY_CAP, candidate_keys, closure, is_superkey, project_fds
 from .model import (
     ClassificationMode,
@@ -34,6 +32,10 @@ from .model import (
     _Record,
     normalize_fds,
 )
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 
 class FDPartition(_Record):

@@ -11,16 +11,21 @@ changes neither stdout nor the exit code.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import IO, Sequence
+from types import SimpleNamespace
 
 from .dsl import _BOOL, _TOP, ParseResult, _array, _names, _quote, _write_trace, emit_report, parse_schema
 from .errors import CapacityError, DecompositionError
 from .fd import DEFAULT_KEY_CAP, candidate_keys
 # normalize_fds is unused here, but bench/tests checks that the tracer patches it here.
 from .model import ClassificationMode, Schema, Severity, normalize_fds  # noqa: F401
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    import argparse
+    from collections.abc import Callable, Sequence
+    from typing import IO
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -29,24 +34,37 @@ EXIT_CAPACITY = 3
 EXIT_USAGE = 4
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
+        import argparse  # only the argument parser gets here: _read_args declines first
+
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
-_COMMANDS = (
-    ("analyze", "classify, partition and score every relation"),
-    ("normalize", "decompose until every relation is in BCNF"),
-    ("keys", "list candidate keys per relation"),
-    ("check", "parse and validate only"),
-)
+_COMMANDS = {
+    "analyze": "classify, partition and score every relation",
+    "normalize": "decompose until every relation is in BCNF",
+    "keys": "list candidate keys per relation",
+    "check": "parse and validate only",
+}
+# Every command's options, each once: flag -> (dest, its choices or _positive_int, default, help).
+_OPTIONS = {
+    "--mode": (
+        "mode",
+        tuple(m.value for m in ClassificationMode),
+        ClassificationMode.PRIMARY.value,
+        "judge partial/transitive dependencies against the declared"
+        " primary key (primary, default) or every candidate key (strict)",
+    ),
+    "--format": ("format", ("text", "structured"), "text", "output rendering (default: text)"),
+    "--key-cap": (
+        "key_cap",
+        _positive_int,
+        DEFAULT_KEY_CAP,
+        f"refuse candidate-key search above N attributes (default {DEFAULT_KEY_CAP})",
+    ),
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -56,36 +74,26 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="-",
         help="schema file in the normlens DSL ('-' or omitted: read stdin)",
     )
-    parser.add_argument(
-        "--mode",
-        choices=[m.value for m in ClassificationMode],
-        default=ClassificationMode.PRIMARY.value,
-        help="judge partial/transitive dependencies against the declared"
-        " primary key (primary, default) or every candidate key (strict)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="output rendering (default: text)",
-    )
-    parser.add_argument(
-        "--key-cap",
-        type=_positive_int,
-        default=DEFAULT_KEY_CAP,
-        metavar="N",
-        help=f"refuse candidate-key search above N attributes (default {DEFAULT_KEY_CAP})",
-    )
+    for flag, (dest, test, default, help) in _OPTIONS.items():
+        kind = {"type": test, "metavar": "N"} if test is _positive_int else {"choices": test}
+        parser.add_argument(flag, dest=dest, default=default, help=help, **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # type: ignore[override]
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
     parser = _ArgumentParser(
         prog="normlens",
         description="Score relational schemas by normalization completeness"
         " and decompose them to BCNF.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, summary in _COMMANDS:
+    for name, summary in _COMMANDS.items():
         command = sub.add_parser(name, help=summary)
         _add_common(command)
         if name == "normalize":
@@ -95,6 +103,51 @@ def build_parser() -> argparse.ArgumentParser:
                 help="include every intermediate schema in DSL form (text output)",
             )
     return parser
+
+
+def _option_value(test: tuple[str, ...] | Callable[[str], int], text: str) -> str | int | None:
+    """text as the value of an option with this test, or None where argparse refuses it."""
+    if test is not _positive_int:
+        return text if text in test else None
+    try:
+        return int(text) if text.isdecimal() and int(text) >= 1 else None
+    except ValueError:  # int() refuses a numeral past its digit limit
+        return None
+
+
+def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for the usual spellings only.
+
+    Those are a command, then in any order each of its options at most once as
+    ``--name value`` or ``--name=value``, ``--trace`` after ``normalize``, and at
+    most one input that is ``-`` or does not start with ``-``. Anything else
+    (help, abbreviations, ``--``, a bad value) returns None and is left to argparse.
+    """
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        return None
+    args = {"command": command, "input": "-"}
+    args.update((dest, default) for dest, _test, default, _help in _OPTIONS.values())
+    if command == "normalize":
+        args["trace"] = False
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if token == "-" or not token.startswith("-"):
+            dest, value = "input", token
+        elif token == "--trace" and command == "normalize":
+            dest, value = "trace", True
+        elif flag in _OPTIONS:
+            dest, test = _OPTIONS[flag][:2]
+            value = _option_value(test, value if equals else next(tokens, ""))
+        else:
+            return None
+        if value is None or dest in given:
+            return None
+        given.add(dest)
+        args[dest] = value
+    return SimpleNamespace(**args)
 
 
 def _discard(stream: IO[str]) -> None:
@@ -181,7 +234,8 @@ def _check_report(result: ParseResult, format: str) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_args(argv) or build_parser().parse_args(argv)
     provenance = "<stdin>" if args.input == "-" else args.input
     try:
         text = _read_input(args.input)

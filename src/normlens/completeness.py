@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .classify import FDPartition, classify_partition, partition_preventing
 from .fd import DEFAULT_KEY_CAP
@@ -34,6 +33,10 @@ from .model import (
     _Record,
     truncated,
 )
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 
 def fuzzy_membership(completeness: int, preventing: int, total: int) -> Fraction:

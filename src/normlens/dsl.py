@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 from _json import encode_basestring_ascii as _quote  # the C encoder json.encoder re-exports
-from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .model import (
     IDENTIFIER,
@@ -43,8 +42,11 @@ from .model import (
     validate_schema,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:  # parsing needs none of these; emit_report imports what it renders
+    from collections.abc import Callable, Iterable
     from fractions import Fraction
+    from typing import Any
 
     from .completeness import RelationNC, SchemaNC
     from .transform import TransformStep, TransformTrace

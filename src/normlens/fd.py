@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
-
 from .errors import CapacityError, ForeignAttributeError
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:  # model imports this module, so only annotations use its names
+    from collections.abc import Iterable, Sequence
+
     from .model import FunctionalDependency, RelationSchema
 
 # The number of candidate keys can be exponential in the heading, so key search is capped.

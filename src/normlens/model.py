@@ -21,12 +21,14 @@ import operator
 import re
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .fd import is_superkey, project_fds
 
-if TYPE_CHECKING:  # only completeness builds scores
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:  # annotations only; completeness builds the scores
+    from collections.abc import Callable, Iterable, Iterator, Sequence
     from fractions import Fraction
+    from typing import Any, ClassVar
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 

@@ -13,12 +13,15 @@ the trace lists dependencies that no longer project into any one relation.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping
 
 from .completeness import SchemaNC, relation_nc, schema_nc
 from .errors import AlreadyBCNFError, DecompositionError, UnknownRelationError
 from .fd import DEFAULT_KEY_CAP
 from .model import ClassificationMode, NormalForm, RelationSchema, Schema, _Record, normalize_fds
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Mapping
 
 
 class TransformStep(_Record):

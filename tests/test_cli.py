@@ -5,6 +5,7 @@ import contextlib
 import gc
 import importlib
 import io
+import itertools
 import json
 import os
 import random
@@ -208,6 +209,44 @@ def test_the_command_table(capsys):
             main([name, "--trace", FIXTURE])
         assert excinfo.value.code == 4
         assert "unrecognized arguments: --trace" in capsys.readouterr().err
+
+
+# Tokens the argument reader must agree on with argparse: every command and flag,
+# --trace after every command, abbreviations, = forms, values good and bad (one
+# past int()'s digit limit), and what only argparse handles.
+_SPELLINGS = (
+    "analyze", "normalize", "keys", "check", "--mode", "--format", "--key-cap", "--trace",
+    "--form", "--key-c", "--mode=strict", "--format=structured", "--key-cap=3", "--key-cap=",
+    "--trace=1", "--", "-", "-h", "--help", "", "-name", "primary", "strict", "text",
+    "structured", "0", "03", "x", "\u0663", "7" * 5000, FIXTURE,
+)
+# Five-token lists: a command, then options given again, reordered or abbreviated.
+_REPEATS = ("--mode", "strict", "--format", "structured", "--key-cap", "03", "--trace", "-",
+            FIXTURE, "--form")
+
+
+def test_the_argument_reader_returns_what_argparse_returns_or_declines():
+    parser = build_parser()
+    lists = [argv for n in range(5) for argv in itertools.product(_SPELLINGS, repeat=n)]
+    commands = normlens.cli._COMMANDS
+    lists += [(c, *rest) for c in commands for rest in itertools.product(_REPEATS, repeat=4)]
+    accepted = 0
+    for argv in lists:
+        read = normlens.cli._read_args(list(argv))
+        if read is not None:
+            # argparse exiting here (SystemExit) fails the test as well.
+            assert vars(read) == vars(parser.parse_args(list(argv))), argv
+            accepted += 1
+    assert accepted > 1000
+    assert normlens.cli._read_args(["keys", "--format", "structured", FIXTURE]) is not None
+    # Spellings argparse also reads, left to it.
+    for argv in (
+        ["keys", "--form", "text"],
+        ["keys", "--", FIXTURE],
+        ["keys", "--key-cap", "3", "--key-cap", "4"],
+    ):
+        assert normlens.cli._read_args(argv) is None
+        parser.parse_args(argv)
 
 
 def test_missing_file_exits_4(capsys):
@@ -473,6 +512,9 @@ print(" ".join(sorted(sys.modules)))
 _SCORING = {"fractions", "normlens.classify", "normlens.completeness", "normlens.transform"}
 # dataclasses imports inspect, and generates and compiles methods for each class.
 _GENERATED_CODE = {"dataclasses", "inspect"}
+# argparse imports gettext, which imports locale, and its help formatter imports shutil;
+# only help and usage errors build the parser. Annotations need no typing at run time.
+_PARSER_AND_TYPING = {"argparse", "gettext", "locale", "shutil", "typing"}
 
 
 def loaded_modules(*code: str) -> set[str]:
@@ -485,6 +527,16 @@ def loaded_modules(*code: str) -> set[str]:
     )
     assert done.returncode == 0, done.stderr
     return set(done.stdout.splitlines()[-1].split())
+
+
+def run_without_site(*argv: str) -> subprocess.CompletedProcess[str]:
+    return subprocess.run(
+        [sys.executable, "-S", "-m", "normlens", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        check=False,
+    )
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -512,6 +564,16 @@ def test_each_command_loads_only_the_modules_it_runs(command, unused):
     # The value types are records (model._Record), not dataclasses.
     assert loaded & _GENERATED_CODE == set()
     assert _SCORING - unused <= loaded
+    assert loaded & _PARSER_AND_TYPING == set()
+    # Help and usage errors are still argparse's.
+    usage = f"usage: normlens {command} [-h]"
+    bad = run_without_site(command, "--mode", "bogus", FIXTURE)
+    assert (bad.returncode, bad.stdout) == (4, "")
+    assert bad.stderr.startswith(usage)
+    assert "error: argument --mode: invalid choice: 'bogus'" in bad.stderr
+    shown = run_without_site(command, "--help")
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert shown.stdout.startswith(usage)
 
 
 def test_the_package_surface_is_complete_and_never_cached():

@@ -16,8 +16,11 @@ the benchmark's ``bulk``, ``decompose`` and ``keysearch`` texts at seeds 1-3,
 as ``bench/run.py`` builds them; and MUTATIONS seeded token-level mutations
 of those inputs. Each input is parsed, and every command of COMMANDS runs on
 it in both formats, except structured ``normalize`` on ``bulk``, whose output
-is over 100 MB. The script prints the counts and the first differing input,
-and exits 1 on any difference. It needs only the standard library and git.
+is over 100 MB. Every argument list of ``spellings()`` also runs, with the
+fixture on stdin and, in most, as the path: help, usage errors, bad values,
+abbreviations, ``=`` forms, reordered and repeated options, ``-`` and ``--``.
+The script prints the counts and the first differing input, and exits 1 on
+any difference. It needs only the standard library and git.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ COMMANDS = (
     ("analyze", "--mode", "strict", "--key-cap", "3"),
 )
 FORMATS = ("text", "structured")
+FIXTURE = ROOT / "case_study.nls"
 
 # A worker reads one JSON request per line: [argv, stdin text], or [null, text]
 # for parse_schema. It answers one JSON line: [stdout, stderr, exit code], or
@@ -127,7 +131,7 @@ def base_inputs() -> list[tuple[str, str]]:
 
     from normlens import emit_schema
 
-    inputs = [("case_study.nls", _read(ROOT / "case_study.nls"))]
+    inputs = [("case_study.nls", _read(FIXTURE))]
     inputs += [(f"golden/{p.name}", _read(p)) for p in sorted(ROOT.glob("tests/golden/*.nls"))]
     inputs += [(f"corpus {i}", emit_schema(s)) for i, (s, _) in enumerate(build_corpus(200))]
     inputs += [(f"multi {i}", emit_schema(s)) for i, s in enumerate(build_multi_corpus(100))]
@@ -158,6 +162,27 @@ def mutate(text: str, rng: random.Random) -> str:
     return "".join(pieces)
 
 
+def spellings(path: str) -> list[list[str]]:
+    """Argument lists that ask for help, are wrong, or spell a run another way."""
+    lists = [[], ["-h"], ["--help"], ["bogus", path], ["--mode", "strict", "check", path]]
+    for command in ("analyze", "normalize", "keys", "check"):
+        lists += [
+            [command, *tail]
+            for tail in (
+                ["-h"], ["--help"], [path, "-h"], [], ["-"], [""], ["-name"], [path, path],
+                ["--", path], ["--", "-"], ["--", "--mode"], [path, "--"],
+                [path, "--format", "structured", "--mode", "strict"],
+                ["--format=structured", "--mode=strict", path], ["--key-cap=3", "-"],
+                ["--form", "structured", path], ["--mo=strict", path], ["--key-c", "3", path],
+                ["--mode", "strict", "--mode", "primary", path], ["--format", "--mode", "strict"],
+                ["--mode", "bogus", path], ["--format", path], ["--format="], ["--mode"],
+                ["--trace", path], ["--trace=1", path], ["--tr", path], ["--trace", "--trace"],
+                *[["--key-cap", v, path] for v in ("0", "-5", "x", "03", "\u0663", "", "7" * 5000)],
+            )
+        ]
+    return lists
+
+
 def runs(label: str) -> list[list[str]]:
     return [
         [*command, "--format", format]
@@ -181,8 +206,19 @@ def main(argv: list[str] | None = None) -> int:
         label, text = rng.choice(bases)
         inputs.append((f"{label}, mutation {number}", mutate(text, rng)))
 
-    counts = {"parse_schema": 0, "cli.main": 0}
-    differing = {"parse_schema": 0, "cli.main": 0}
+    # (kind, label, text, request, whether the text is a mutation)
+    jobs = [
+        ("parse_schema" if request is None else "cli.main", label, text, request, mutation)
+        for number, (label, text) in enumerate(inputs)
+        for mutation in [number >= len(bases)]
+        for request in [None, *runs(label)]
+    ]
+    jobs += [
+        ("argument spellings", "case_study.nls", _read(FIXTURE), argv, False)
+        for argv in spellings(str(FIXTURE))
+    ]
+    counts = dict.fromkeys(("parse_schema", "cli.main", "argument spellings"), 0)
+    differing = dict(counts)
     syntax_errors = 0  # mutations that the reference reads with a syntax error
     first = ""
     with tempfile.TemporaryDirectory() as tmp:
@@ -190,18 +226,16 @@ def main(argv: list[str] | None = None) -> int:
             tar.extractall(tmp, filter="data")
         workers = [Worker(Path(tmp) / "src"), Worker(ROOT / "src")]
         try:
-            for number, (label, text) in enumerate(inputs):
-                for request in [None, *runs(label)]:
-                    for worker in workers:  # both work at once
-                        worker.send(request, text)
-                    before, after = [worker.receive() for worker in workers]
-                    kind = "parse_schema" if request is None else "cli.main"
-                    counts[kind] += 1
-                    if request is None and number >= len(bases):
-                        syntax_errors += before[1]
-                    if before != after:
-                        differing[kind] += 1
-                        first = first or _describe(rev, label, text, request, before, after)
+            for kind, label, text, request, mutation in jobs:
+                for worker in workers:  # both work at once
+                    worker.send(request, text)
+                before, after = [worker.receive() for worker in workers]
+                counts[kind] += 1
+                if request is None and mutation:
+                    syntax_errors += before[1]
+                if before != after:
+                    differing[kind] += 1
+                    first = first or _describe(rev, label, text, request, before, after)
         finally:
             for worker in workers:
                 worker.close()
