@@ -26,6 +26,7 @@ _EXPORTS = {
         "CapacityError",
         "DecompositionError",
         "ForeignAttributeError",
+        "InvalidSchemaError",
         "NormlensError",
         "UnknownRelationError",
     ),

@@ -35,11 +35,11 @@ EXIT_USAGE = 4
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if (value := _option_value(_positive_int, text)) is None:
         import argparse  # only the argument parser gets here: _read_args declines first
 
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    return value
 
 
 _COMMANDS = {

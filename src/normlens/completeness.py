@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .classify import FDPartition, classify_partition, partition_preventing
+from .errors import InvalidSchemaError
 from .fd import DEFAULT_KEY_CAP
 from .model import (
     ClassificationMode,
@@ -32,6 +33,7 @@ from .model import (
     Schema,
     _Record,
     truncated,
+    validate_schema,
 )
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -126,12 +128,15 @@ def schema_nc(
     *,
     key_cap: int = DEFAULT_KEY_CAP,
 ) -> SchemaNC:
-    """Score every relation in schema order and total them exactly."""
-    return SchemaNC(
-        schema=schema,
-        mode=mode,
-        per_relation=tuple(
-            relation_nc(rel, schema.projected_fds(rel), mode, key_cap=key_cap)
-            for rel in schema.relations
-        ),
-    )
+    """Score every relation in schema order and total them exactly.
+
+    Raises InvalidSchemaError, with the report, when ``validate_schema`` finds an error.
+    """
+    if not (report := validate_schema(schema)).ok:
+        raise InvalidSchemaError(report)
+    nc = SchemaNC(schema, mode, tuple(
+        relation_nc(rel, schema.projected_fds(rel), mode, key_cap=key_cap)
+        for rel in schema.relations
+    ))
+    vars(nc)["_trusted"] = True
+    return nc

@@ -524,14 +524,14 @@ def emit_report(
 ) -> str:
     """Render a schema score, partitions inside, or a trace as text or stable JSON.
 
-    ``dsl_snapshots`` adds the schema after every step, in DSL form, to the
-    text rendering of a trace (the structured form always embeds schemas).
-    Structured output is what ``json.dumps(tree, indent=2, sort_keys=True)``
-    plus a newline gives for the report's tree, but no tree is built: each
-    record writes its own JSON text, and a record the report shares, such as
-    a score carried over from step to step, is rendered once per indent. The
-    CLI streams a structured trace to stdout step by step with the same
-    renderers.
+    ``dsl_snapshots`` adds the schema after every step, in DSL form, to the text
+    rendering of a trace (the structured form always embeds schemas). Structured
+    output is what ``json.dumps(tree, indent=2, sort_keys=True)`` plus a newline
+    gives for the report's tree, but no tree is built: each record writes its
+    own JSON text, and a record the report shares, such as a score carried over
+    from step to step, is rendered once per indent. The CLI streams a structured
+    trace to stdout step by step with the same renderers. Another format or
+    report type is a programmer error (ValueError, TypeError).
     """
     if format not in ("text", "structured"):
         raise ValueError(f"unknown report format {format!r}")

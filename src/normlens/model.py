@@ -3,13 +3,13 @@
 All values are immutable. Constructors canonicalize their collection
 arguments (tuples, duplicate removal where set semantics apply) but do not
 enforce semantic rules; ``validate_schema`` reports every violation as data
-so callers can surface all problems at once. Analysis entry points assume a
-schema that validated without errors. The value types are records (see
-``_Record``): ==, hash and repr run over their fields. Sets and name tuples
-derived from the fields are plain attributes built once, left out of the
-fields: ``FunctionalDependency`` and ``RelationSchema`` here, and
-``FDPartition`` and ``RelationNC`` in the scoring modules, have constructors
-that set fields and derived values in one step.
+so callers can surface all problems at once; the analysis entry points
+raise ``InvalidSchemaError`` for a schema with errors. The value types are
+records (see ``_Record``): ==, hash and repr run over their fields. Sets
+and name tuples derived from the fields are plain attributes built once,
+left out of the fields: ``FunctionalDependency`` and ``RelationSchema``
+here, and ``FDPartition`` and ``RelationNC`` in the scoring modules, have
+constructors that set fields and derived values in one step.
 ``ClassificationMode`` and ``truncated`` live here, so that parsing and
 rendering load no scoring module.
 """
@@ -230,7 +230,7 @@ class Schema(_Record):
 
     ``fds`` stays as written; its singleton form, attribute index and the
     projection onto each heading are built on first use and shared by
-    ``with_relations``.
+    ``with_relations``. ``validate_schema`` keeps its report here as well.
     """
 
     name: str
@@ -367,7 +367,10 @@ def validate_schema(schema: Schema) -> ValidationReport:
     Each finding's ``subject`` is the declaration object it is about, so
     declarations that share a name stay apart. The violation set is
     order-independent: permuting relations or FDs yields the same findings.
+    The report is kept on the schema, outside its fields: each is checked once.
     """
+    if "_report" in vars(schema):
+        return vars(schema)["_report"]
     out: list[Violation] = []
     universe = frozenset().union(*(rel.attribute_set for rel in schema.relations))
     # Names repeat across declarations, so each distinct one is matched once.
@@ -468,4 +471,4 @@ def validate_schema(schema: Schema) -> ValidationReport:
                     Severity.WARNING,
                 )
 
-    return ValidationReport(tuple(out))
+    return vars(schema).setdefault("_report", ValidationReport(tuple(out)))

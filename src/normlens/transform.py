@@ -83,36 +83,29 @@ def decompose_step(
     """Split one preventing dependency group out of the named relation.
 
     ``nc_before`` is ``schema_nc(schema, mode)`` or an earlier step's
-    ``nc_after``: the step splits its schema, reads the relation's partition
-    from it and scores only the two changed relations, in its mode.
+    ``nc_after``, both trusted; a hand-built score is checked first against
+    ``schema_nc`` (InvalidSchemaError for an invalid schema, ValueError for
+    other scores). The step splits the score's schema, reads the relation's
+    partition from it and scores only the two changed relations, in its mode.
     The new relation's default name is ``<source>_<determinant attributes>``,
-    made fresh with a ``_2``, ``_3``, ... suffix while a relation of the
-    schema already has it; the reduced relation keeps the source name by
-    default; ``rename`` maps default names to wanted ones. Raises ValueError
-    when the score's relation names are not its schema's, UnknownRelationError
-    when no relation has the name, AlreadyBCNFError when the relation is in
-    BCNF, DecompositionError when several relations have the name, when the
-    relation is below BCNF with no preventing dependency (splitting cannot
-    atomize an attribute or shrink an oversized key), when the group moves no
-    attribute (a trivial or dependent-less FD), when a moved dependent belongs
-    to the source primary key (the step would break the key) or when renaming
-    collides with an existing relation, all before any scoring (so before
-    strict mode's CapacityError).
+    made fresh with a ``_2``, ``_3``, ... suffix while the name is taken; the
+    reduced relation keeps the source name; ``rename`` maps default names to
+    wanted ones. Raises UnknownRelationError for an unknown name,
+    AlreadyBCNFError for a relation in BCNF, and DecompositionError for one
+    below BCNF with no preventing dependency (no split can atomize an
+    attribute or shrink an oversized key), for a moved dependent in the
+    source primary key, or for a rename collision, all before any scoring
+    (so before strict mode's CapacityError).
     """
     schema, mode = nc_before.schema, nc_before.mode
-    if [r.relation_name for r in nc_before.per_relation] != [r.name for r in schema.relations]:
-        raise ValueError(f"nc_before does not score the relations of schema {schema.name!r}")
+    if "_trusted" not in vars(nc_before):  # built by hand
+        if nc_before.per_relation != schema_nc(schema, mode, key_cap=key_cap).per_relation:
+            raise ValueError(f"nc_before is not the {mode.value} score of schema {schema.name!r}")
     rename = rename or {}
-    matches = [i for i, rel in enumerate(schema.relations) if rel.name == relation_name]
-    if not matches:
-        raise UnknownRelationError(
-            f"no relation named {relation_name!r} in schema {schema.name!r}"
-        )
-    if len(matches) > 1:
-        raise DecompositionError(
-            f"cannot decompose {relation_name!r}: {len(matches)} relations have that name"
-        )
-    position = matches[0]
+    positions = {rel.name: i for i, rel in enumerate(schema.relations)}
+    if relation_name not in positions:
+        raise UnknownRelationError(f"no relation named {relation_name!r} in schema {schema.name!r}")
+    position = positions[relation_name]
     source = schema.relations[position]
     scored = nc_before.per_relation[position]
     partition = scored.partition
@@ -127,19 +120,10 @@ def decompose_step(
         )
 
     first = partition.preventing[0]
-    group = tuple(
-        fd for fd in partition.preventing if fd.determinant_set == first.determinant_set
-    )
-    labels = tuple(fd.label for fd in group)
+    group = [fd for fd in partition.preventing if fd.determinant_set == first.determinant_set]
     determinant = first.determinant
-    moved = list(dict.fromkeys(
-        dep for fd in group for dep in fd.dependents if dep not in first.determinant_set
-    ))
-
-    if not moved:
-        raise DecompositionError(
-            f"cannot decompose {relation_name!r}: {', '.join(labels)} moves no attribute"
-        )
+    # Validation leaves no trivial FD: every dependent of the group moves.
+    moved = list(dict.fromkeys(dep for fd in group for dep in fd.dependents))
     broken_key = sorted(set(moved) & source.primary_key_set)
     if broken_key:
         raise DecompositionError(
@@ -148,10 +132,9 @@ def decompose_step(
         )
 
     spec_by_name = {spec.name: spec for spec in source.attributes}
-    taken = {rel.name for rel in schema.relations}
     base = new_default = f"{source.name}_{'_'.join(determinant)}"
     copies = itertools.count(2)
-    while new_default in taken:
+    while new_default in positions:
         new_default = f"{base}_{next(copies)}"
     new_relation = RelationSchema(
         name=rename.get(new_default, new_default),
@@ -165,7 +148,7 @@ def decompose_step(
     )
 
     produced = (new_relation.name, reduced_relation.name)
-    if len(set(produced)) < 2 or (taken - {source.name}) & set(produced):
+    if len(set(produced)) < 2 or (positions.keys() - {source.name}) & set(produced):
         raise DecompositionError(
             f"decomposing {relation_name!r} produces duplicate relation names {produced}"
         )
@@ -182,8 +165,8 @@ def decompose_step(
     nc_after = SchemaNC(schema_after, mode, (*scores, new_nc))
     # Every other relation's score carries over: seed the cached total with the difference.
     total = nc_before.total - scored.nc + reduced_nc.nc + new_nc.nc
-    nc_after.__dict__["total"] = total
-    return TransformStep(position, labels, nc_before, nc_after)
+    vars(nc_after).update(total=total, _trusted=True)
+    return TransformStep(position, tuple(fd.label for fd in group), nc_before, nc_after)
 
 
 def normalize_to_bcnf(
@@ -195,12 +178,11 @@ def normalize_to_bcnf(
 ) -> TransformTrace:
     """Decompose the first relation below BCNF, repeatedly, until none is left.
 
-    Terminates because each step replaces the source with two strictly
-    smaller relations (a group that would move no attribute is an error).
-    Raises DecompositionError when a relation sits below BCNF with no
-    preventing dependency: splitting cannot atomize attributes, nor fix a
-    partial dependency whose determinant is already a superkey (an oversized
-    primary key causes the latter).
+    Raises InvalidSchemaError as ``schema_nc`` does, and DecompositionError
+    when a relation sits below BCNF with no preventing dependency: splitting
+    cannot atomize attributes, nor fix a partial dependency whose determinant
+    is already a superkey (an oversized primary key). Each step replaces its
+    source with two strictly smaller relations, so the run ends.
 
     The schema is scored once; each step scores its two changed relations
     and hands the score on, so s steps over r relations score r + 2s.
@@ -208,14 +190,8 @@ def normalize_to_bcnf(
     steps: list[TransformStep] = []
     nc = initial_nc = schema_nc(schema, mode, key_cap=key_cap)
     while True:
-        target = next(
-            (rnc for rnc in nc.per_relation if rnc.normal_form is not NormalForm.BCNF),
-            None,
-        )
+        target = next((r for r in nc.per_relation if r.normal_form is not NormalForm.BCNF), None)
         if target is None:
-            break
-        step = decompose_step(nc, target.relation_name, rename=rename, key_cap=key_cap)
-        steps.append(step)
-        nc = step.nc_after
-
-    return TransformTrace(tuple(steps), initial_nc)
+            return TransformTrace(tuple(steps), initial_nc)
+        steps.append(decompose_step(nc, target.relation_name, rename=rename, key_cap=key_cap))
+        nc = steps[-1].nc_after

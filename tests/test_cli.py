@@ -281,14 +281,16 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert third == fourth
 
 
-@pytest.mark.parametrize("cap", ["0", "-5", "three"])
+@pytest.mark.parametrize(
+    "cap", ["0", "-5", "three", pytest.param("7" * 5000, id="past-the-int-digit-limit")]
+)
 def test_non_positive_key_cap_is_a_usage_error(capsys, cap):
     with pytest.raises(SystemExit) as excinfo:
         main(["keys", FIXTURE, "--key-cap", cap])
     assert excinfo.value.code == 4
     err = capsys.readouterr().err
     assert "usage:" in err
-    assert "positive integer" in err
+    assert f"argument --key-cap: expected a positive integer, got {cap!r}\n" in err
 
 
 def test_non_utf8_input_exits_4_with_one_line(capsys, tmp_path):

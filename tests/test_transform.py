@@ -14,6 +14,7 @@ from normlens import (
     ClassificationMode,
     DecompositionError,
     FunctionalDependency,
+    InvalidSchemaError,
     NormalForm,
     RelationSchema,
     Schema,
@@ -27,6 +28,7 @@ from normlens import (
     project_fds,
     relation_nc,
     schema_nc,
+    validate_schema,
 )
 
 from conftest import CASE_STUDY_RENAMES, REPO_ROOT, fixture_copies
@@ -107,24 +109,35 @@ def test_unpreserved_fds_reported(case_study):
 
 
 def test_unknown_relation_error(case_study):
-    with pytest.raises(UnknownRelationError):
+    with pytest.raises(UnknownRelationError) as missing:
         decompose_step(schema_nc(case_study), "Nowhere")
+    assert str(missing.value) == "no relation named 'Nowhere' in schema 'PropertyInspection'"
 
 
-def test_a_name_shared_by_two_relations_is_a_decomposition_error():
+def _hand_built(schema: Schema) -> SchemaNC:
+    # Each relation scored against the global FD list, past schema_nc and its validation.
+    return SchemaNC(
+        schema,
+        ClassificationMode.PRIMARY,
+        tuple(relation_nc(rel, schema.fds) for rel in schema.relations),
+    )
+
+
+def test_a_name_shared_by_two_relations_is_an_invalid_schema():
     # The first R is BCNF and the second is not; no step may pick either by name.
     schema = Schema(
         "s",
         (RelationSchema("R", ("c", "d"), ("c",)), RelationSchema("R", ("a", "b", "c"), ("a",))),
         (fd("F1", "b", "c"), fd("F2", "a", "b")),
     )
-    with pytest.raises(DecompositionError, match="'R'"):
-        normalize_to_bcnf(schema)
-    with pytest.raises(DecompositionError, match="'R'"):
-        decompose_step(schema_nc(schema), "R")
-    with pytest.raises(UnknownRelationError) as missing:
-        decompose_step(schema_nc(schema), "Nowhere")
-    assert str(missing.value) == "no relation named 'Nowhere' in schema 's'"
+    repeated = "relation name 'R' declared more than once"
+    for entry in (schema_nc, normalize_to_bcnf):
+        with pytest.raises(InvalidSchemaError, match=repeated) as invalid:
+            entry(schema)
+        assert invalid.value.report is validate_schema(schema)
+    for name in ("R", "Nowhere"):
+        with pytest.raises(InvalidSchemaError):
+            decompose_step(_hand_built(schema), name)
 
 
 def test_decompose_bcnf_relation_is_rejected():
@@ -300,30 +313,53 @@ def test_a_score_must_cover_the_relations_of_its_schema(case_study):
     primary = ClassificationMode.PRIMARY
     # Four relations, but not these four: R1 does have a preventing dependency.
     others = Schema("o", tuple(RelationSchema(f"X{i}", ("a",), ("a",)) for i in range(4)), ())
-    with pytest.raises(ValueError, match="'M'"):
+    refused = "is not the primary score of schema 'M'"
+    with pytest.raises(ValueError, match=refused) as other:
         decompose_step(SchemaNC(schema, primary, schema_nc(others).per_relation), "R1")
-    with pytest.raises(ValueError, match="'M'"):
+    assert type(other.value) is ValueError
+    with pytest.raises(ValueError, match=refused):
         decompose_step(SchemaNC(schema, primary, schema_nc(case_study).per_relation), "R4")
     # A score of the first three relations only.
-    with pytest.raises(ValueError, match="'M'"):
+    with pytest.raises(ValueError, match=refused):
         decompose_step(SchemaNC(schema, primary, schema_nc(schema).per_relation[:3]), "R1")
+    # A score of a schema that does not validate: an FD over an attribute no relation has.
+    invalid = Schema("M", schema.relations, (*schema.fds, fd("F9", "zz", "a")))
+    with pytest.raises(InvalidSchemaError, match="'F9' mentions"):
+        decompose_step(SchemaNC(invalid, primary, schema_nc(schema).per_relation), "R1")
+
+
+def test_a_hand_built_score_is_checked_against_its_schemas_own():
+    # R's scores without F1 call it BCNF; a step must not trust them and stop there.
+    schema = Schema("s", (RelationSchema("R", ("a", "b", "c"), ("a",)),), (fd("F1", "b", "c"),))
+    without_f1 = schema_nc(Schema("s", schema.relations)).per_relation
+    lying = SchemaNC(schema, ClassificationMode.PRIMARY, without_f1)
+    with pytest.raises(ValueError, match="is not the primary score of schema 's'") as refused:
+        decompose_step(lying, "R")
+    assert type(refused.value) is ValueError
+    # The true scores, built by hand, step as schema_nc's own do.
+    honest = _hand_built(schema)
+    assert decompose_step(honest, "R") == decompose_step(schema_nc(schema), "R")
+    assert decompose_step(honest, "R").moved_fd_labels == ("F1",)
 
 
 @pytest.mark.parametrize(
-    ("determinant", "dependents"), [(("b", "c"), ("c",)), (("b",), ())], ids=["trivial", "empty"]
+    ("determinant", "dependents", "code"),
+    [(("b", "c"), ("c",), "TRIVIAL_FD"), (("b",), (), "EMPTY_DEPENDENTS")],
+    ids=["trivial", "empty"],
 )
-def test_a_step_that_moves_no_attribute_is_a_decomposition_error(determinant, dependents):
-    # Validation rejects both FDs, but library schemas are not validated; each
-    # is preventing, and splitting it off would leave R as it was, forever.
+def test_an_fd_that_moves_no_attribute_is_an_invalid_schema(determinant, dependents, code):
+    # Each FD is preventing, and splitting it off would leave R as it was, forever.
     schema = Schema(
         "s",
         (RelationSchema("R", ("a", "b", "c"), ("a",)),),
         (FunctionalDependency("F1", determinant, dependents),),
     )
-    with pytest.raises(DecompositionError, match="'R': F1 moves no attribute"):
-        decompose_step(schema_nc(schema), "R")
-    with pytest.raises(DecompositionError, match="'R': F1 moves no attribute"):
-        normalize_to_bcnf(schema)
+    for entry in (schema_nc, normalize_to_bcnf):
+        with pytest.raises(InvalidSchemaError, match="'F1'") as invalid:
+            entry(schema)
+        assert [v.code for v in invalid.value.report.errors] == [code]
+    with pytest.raises(InvalidSchemaError, match="'F1'"):
+        decompose_step(_hand_built(schema), "R")
 
 
 def _scored_from_scratch(schema: Schema, mode: ClassificationMode) -> SchemaNC:
@@ -431,7 +467,11 @@ def test_normalize_projects_each_relation_once(case_study, monkeypatch, mode):
     # Scoring reads those projections as they are.
     monkeypatch.setattr(normlens.classify, "project_fds", None)
     copies = 8
-    trace = normalize_to_bcnf(fixture_copies(case_study, copies), mode)
+    schema = fixture_copies(case_study, copies)
+    # Validated first, as parse_schema does: its superkey test reads the projections too.
+    assert validate_schema(schema).ok
+    calls.clear()
+    trace = normalize_to_bcnf(schema, mode)
     assert len(trace.steps) == 3 * copies
     assert len(calls) <= copies + 2 * len(trace.steps)
     singletons = normalize_fds(trace.initial_nc.schema.fds)
