@@ -1,37 +1,24 @@
 """Normal form classification and the preventing dependency partition.
 
-A dependency prevents BCNF when its determinant is not a superkey of the
-relation it projects into. That partition drives the completeness score:
-attributes of non-preventing dependencies count toward completeness,
-attributes of preventing dependencies count against it, and the two unions
-are computed independently (an attribute may land in both).
+Every function here reads one relation's projected dependencies, as
+``Schema.projected_fds`` gives them. A dependency prevents BCNF when its
+determinant is not a superkey of the relation. That partition drives the
+completeness score: attributes of non-preventing dependencies count toward
+completeness, attributes of preventing dependencies count against it, and
+the two unions are computed independently (an attribute may land in both).
 
-Partial and transitive dependencies can be judged against different key
-sets, so classification has two modes:
-
-* PRIMARY: only the declared primary key matters. A partial dependency is a
-  proper nonempty subset of the primary key determining an attribute outside
-  it; a transitive dependency has a determinant disjoint from the primary
-  key that is not a superkey and determines an attribute outside the key.
-* STRICT: every candidate key matters and "non-prime" means belonging to no
-  candidate key. This stronger reading can demote a relation PRIMARY
-  accepts: a non-prime attribute in the closure of a proper subset of any
-  candidate key blocks 2NF, whether one listed dependency or a chain of them
-  reaches it. STRICT is the only mode that enumerates candidate keys, so it
-  is the only one that can hit the search cap.
+PRIMARY judges partial and transitive dependencies against the declared
+primary key. STRICT, the textbook reading, judges them against every
+candidate key ("non-prime": in none), so it can demote a relation PRIMARY
+accepts: a non-prime attribute in the closure of a proper subset of any
+candidate key blocks 2NF, through one listed dependency or a chain. Only
+STRICT enumerates keys, so only it can hit the search cap.
 """
 
 from __future__ import annotations
 
-from .fd import DEFAULT_KEY_CAP, candidate_keys, closure, is_superkey, project_fds
-from .model import (
-    ClassificationMode,
-    FunctionalDependency,
-    NormalForm,
-    RelationSchema,
-    _Record,
-    normalize_fds,
-)
+from .fd import DEFAULT_KEY_CAP, _check_projection, candidate_keys, closure, is_superkey
+from .model import ClassificationMode, FunctionalDependency, NormalForm, RelationSchema, _Record
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -80,31 +67,26 @@ class FDPartition(_Record):
 def partition_preventing(
     relation: RelationSchema, fds: Sequence[FunctionalDependency]
 ) -> FDPartition:
-    """Split the schema's dependencies for one relation by the superkey test.
+    """Split the relation's projected ``fds`` by the superkey test, once per determinant.
 
-    The per-relation analysis that classification and scoring read: one
-    projection, one superkey verdict per distinct determinant. ``fds`` may be
-    the schema's global list or already projected (both steps are idempotent),
-    as ``Schema.projected_fds`` gives it: such a list is used as it is.
+    The per-relation analysis that classification and scoring read. Raises
+    ForeignAttributeError when ``fds`` is not ``Schema.projected_fds(relation)``.
     """
-    attrs, projected = relation.attribute_set, fds
-    if any(len(fd.dependents) > 1 or not fd.attributes <= attrs for fd in fds):
-        projected = project_fds(normalize_fds(fds), attrs)
-    determinants = dict.fromkeys(fd.determinant_set for fd in projected)
-    superkey = {det: is_superkey(det, relation, projected) for det in determinants}
-    preventing = tuple(fd for fd in projected if not superkey[fd.determinant_set])
-    non_preventing = tuple(fd for fd in projected if superkey[fd.determinant_set])
+    _check_projection(relation, fds)
+    determinants = dict.fromkeys(fd.determinant_set for fd in fds)
+    superkey = {det: is_superkey(det, relation, fds) for det in determinants}
+    preventing = tuple(fd for fd in fds if not superkey[fd.determinant_set])
+    non_preventing = tuple(fd for fd in fds if superkey[fd.determinant_set])
     return FDPartition(relation, preventing, non_preventing)
 
 
 def classify_partition(
-    relation: RelationSchema,
     partition: FDPartition,
     mode: ClassificationMode = ClassificationMode.PRIMARY,
     *,
     key_cap: int = DEFAULT_KEY_CAP,
 ) -> NormalForm:
-    """Highest normal form of ``relation``, read from its preventing partition.
+    """Highest normal form of the partition's relation, read from the partition.
 
     Gate order: any non-atomic attribute leaves the relation unnormalized;
     otherwise it is at least 1NF, reaches 2NF without partial dependencies,
@@ -112,6 +94,7 @@ def classify_partition(
     dependency is preventing. Only a preventing dependency (non-superkey
     determinant) can be transitive.
     """
+    relation = partition.relation
     if any(not spec.atomic for spec in relation.attributes):
         return NormalForm.UNF
 
@@ -121,10 +104,6 @@ def classify_partition(
     else:
         keys = candidate_keys(relation, projected, cap=key_cap)
     primes: frozenset[str] = frozenset().union(*keys)
-
-    def non_prime_dependent(fd: FunctionalDependency) -> bool:
-        return any(a not in primes for a in fd.dependents)
-
     if mode is ClassificationMode.STRICT:
         # Textbook 2NF: no proper subset of a key reaches a non-prime attribute,
         # through any chain of dependencies. Closure is monotone, so the
@@ -135,15 +114,13 @@ def classify_partition(
         )
     else:
         partial = any(
-            fd.determinant
-            and fd.determinant_set < relation.primary_key_set
-            and non_prime_dependent(fd)
+            fd.determinant_set < relation.primary_key_set and not fd.dependents_set <= primes
             for fd in projected
         )
     if partial:
         return NormalForm.FIRST
     if any(
-        non_prime_dependent(fd)
+        not fd.dependents_set <= primes
         and (mode is ClassificationMode.STRICT or fd.determinant_set.isdisjoint(primes))
         for fd in partition.preventing
     ):

@@ -115,11 +115,12 @@ def relation_nc(
 ) -> RelationNC:
     """Score one relation: partition, classify, then NC = N + x (or exactly 4).
 
-    ``fds`` may be global or already projected. A relation with no projected
-    dependencies is vacuously BCNF, so the membership formula never sees n = 0.
+    ``fds`` is ``Schema.projected_fds(relation)`` (ForeignAttributeError otherwise).
+    A relation with no projected dependencies is vacuously BCNF, so the
+    membership formula never sees n = 0.
     """
     partition = partition_preventing(relation, fds)
-    return RelationNC(classify_partition(relation, partition, mode, key_cap=key_cap), partition)
+    return RelationNC(classify_partition(partition, mode, key_cap=key_cap), partition)
 
 
 def schema_nc(

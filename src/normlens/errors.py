@@ -23,7 +23,7 @@ class InvalidSchemaError(NormlensError, ValueError):
 
 
 class ForeignAttributeError(NormlensError, ValueError):
-    """An attribute set mentions attributes outside the relation it targets."""
+    """An attribute set strays outside its relation, or an FD list is not its projection."""
 
 
 class CapacityError(NormlensError):

@@ -65,6 +65,21 @@ def is_superkey(
     return closure(cand, fds) >= relation.attribute_set
 
 
+def _check_projection(
+    relation: RelationSchema, fds: Sequence[FunctionalDependency]
+) -> frozenset[str]:
+    """The heading, once each FD is checked: a determinant and one other dependent, all in it."""
+    attrs = relation.attribute_set
+    for fd in fds:
+        one_dependent = len(fd.dependents) == 1 and fd.dependents[0] not in fd.determinant_set
+        if not (one_dependent and fd.determinant and fd.attributes <= attrs):
+            raise ForeignAttributeError(
+                f"fd {fd.label!r} is not in the projection onto relation {relation.name!r};"
+                " pass Schema.projected_fds(relation)"
+            )
+    return attrs
+
+
 def candidate_keys(
     relation: RelationSchema,
     fds: Sequence[FunctionalDependency],
@@ -73,8 +88,7 @@ def candidate_keys(
 ) -> tuple[frozenset[str], ...]:
     """All minimal superkeys, by size then lexicographically.
 
-    ``fds`` may be the schema's global list or already projected (only
-    dependencies with a determinant inside the heading count, so both agree).
+    ``fds`` is ``Schema.projected_fds(relation)`` (ForeignAttributeError otherwise).
     Lucchesi & Osborn (1978): minimize the heading to a first key; for each
     key K and dependency X -> Y, the superkey X | (K - Y) holds a new key
     whenever it contains no known one. Minimizing drops attributes in sorted
@@ -89,22 +103,21 @@ def candidate_keys(
             f"relation {relation.name!r} has {width} attributes;"
             f" candidate-key search is capped at {cap}"
         )
-    attrs = relation.attribute_set
-    inside = [fd for fd in fds if attrs.issuperset(fd.determinant)]
-    left = frozenset().union(*(fd.determinant for fd in inside))
-    right = attrs & frozenset().union(*(fd.dependents for fd in inside))
+    attrs = _check_projection(relation, fds)
+    left = frozenset().union(*(fd.determinant for fd in fds))
+    right = frozenset().union(*(fd.dependents for fd in fds))
     never, optional = right - left, sorted(right & left)
 
     def minimize(superkey: frozenset[str]) -> frozenset[str]:
         key = superkey - never
         for attr in optional:
-            if attr in key and closure(key - {attr}, inside) >= attrs:
+            if attr in key and closure(key - {attr}, fds) >= attrs:
                 key -= {attr}
         return key
 
     keys = [minimize(attrs)]
     for key in keys:  # grows while it is walked; each new key is expanded in turn
-        for fd in inside:
+        for fd in fds:
             superkey = key.difference(fd.dependents).union(fd.determinant)
             if not any(known <= superkey for known in keys):
                 keys.append(minimize(superkey))

@@ -17,7 +17,9 @@ import itertools
 from .completeness import SchemaNC, relation_nc, schema_nc
 from .errors import AlreadyBCNFError, DecompositionError, UnknownRelationError
 from .fd import DEFAULT_KEY_CAP
-from .model import ClassificationMode, NormalForm, RelationSchema, Schema, _Record, normalize_fds
+from .model import (
+    IDENTIFIER, ClassificationMode, NormalForm, RelationSchema, Schema, _Record, normalize_fds
+)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -94,8 +96,8 @@ def decompose_step(
     AlreadyBCNFError for a relation in BCNF, and DecompositionError for one
     below BCNF with no preventing dependency (no split can atomize an
     attribute or shrink an oversized key), for a moved dependent in the
-    source primary key, or for a rename collision, all before any scoring
-    (so before strict mode's CapacityError).
+    source primary key, or for a rename to a taken name or a non-identifier,
+    all before any scoring (so before strict mode's CapacityError).
     """
     schema, mode = nc_before.schema, nc_before.mode
     if "_trusted" not in vars(nc_before):  # built by hand
@@ -152,6 +154,8 @@ def decompose_step(
         raise DecompositionError(
             f"decomposing {relation_name!r} produces duplicate relation names {produced}"
         )
+    if not all(map(IDENTIFIER.match, produced)):
+        raise DecompositionError(f"a relation name in {produced} is not an identifier")
 
     relations = list(schema.relations)
     relations[position] = reduced_relation

@@ -6,8 +6,10 @@ from normlens import (
     AttributeSpec,
     CapacityError,
     ClassificationMode,
+    ForeignAttributeError,
     NormalForm,
     RelationSchema,
+    normalize_fds,
     partition_preventing,
     relation_nc,
 )
@@ -30,31 +32,33 @@ def relations(case_study, step1, step2):
     }
 
 
+def _form(case_study, rel, mode=PRIMARY):
+    return relation_nc(rel, case_study.projected_fds(rel), mode).normal_form
+
+
 def test_classification_ladder_on_case_study(relations, case_study):
-    fds = case_study.fds
-    assert relation_nc(relations["StaffPropertyInspection"], fds).normal_form is NormalForm.FIRST
-    assert relation_nc(relations["StaffInspection"], fds).normal_form is NormalForm.SECOND
-    assert relation_nc(relations["Inspection"], fds).normal_form is NormalForm.THIRD
-    assert relation_nc(relations["Property"], fds).normal_form is NormalForm.BCNF
-    assert relation_nc(relations["Staff"], fds).normal_form is NormalForm.BCNF
+    assert _form(case_study, relations["StaffPropertyInspection"]) is NormalForm.FIRST
+    assert _form(case_study, relations["StaffInspection"]) is NormalForm.SECOND
+    assert _form(case_study, relations["Inspection"]) is NormalForm.THIRD
+    assert _form(case_study, relations["Property"]) is NormalForm.BCNF
+    assert _form(case_study, relations["Staff"]) is NormalForm.BCNF
 
 
 def test_property_is_bcnf_in_both_modes(relations, case_study):
     for mode in (PRIMARY, STRICT):
-        assert relation_nc(relations["Property"], case_study.fds, mode).normal_form is NormalForm.BCNF
+        assert _form(case_study, relations["Property"], mode) is NormalForm.BCNF
 
 
 def test_strict_mode_demotes_staff_inspection(relations, case_study):
     # staffNo is a proper subset of candidate key {staffNo, iDate, iTime} and
     # determines the non-prime sName, so the all-keys reading blocks 2NF.
     rel = relations["StaffInspection"]
-    assert relation_nc(rel, case_study.fds, PRIMARY).normal_form is NormalForm.SECOND
-    assert relation_nc(rel, case_study.fds, STRICT).normal_form is NormalForm.FIRST
+    assert _form(case_study, rel, PRIMARY) is NormalForm.SECOND
+    assert _form(case_study, rel, STRICT) is NormalForm.FIRST
 
 
 def test_strict_mode_agrees_on_inspection(relations, case_study):
-    rel = relations["Inspection"]
-    assert relation_nc(rel, case_study.fds, STRICT).normal_form is NormalForm.THIRD
+    assert _form(case_study, relations["Inspection"], STRICT) is NormalForm.THIRD
 
 
 def test_non_atomic_attribute_means_unnormalized():
@@ -88,7 +92,8 @@ def test_partition_step1(case_study):
 
 
 def test_partition_step2(step1, case_study):
-    part = partition_preventing(step1.reduced_relation, case_study.fds)
+    rel = step1.reduced_relation
+    part = partition_preventing(rel, case_study.projected_fds(rel))
     assert [item.label for item in part.preventing] == ["FD7", "FD8"]
     assert part.completeness_count == 7
     assert part.preventing_count == 4
@@ -96,7 +101,8 @@ def test_partition_step2(step1, case_study):
 
 
 def test_partition_step3(step2, case_study):
-    part = partition_preventing(step2.reduced_relation, case_study.fds)
+    rel = step2.reduced_relation
+    part = partition_preventing(rel, case_study.projected_fds(rel))
     assert [item.label for item in part.preventing] == ["FD8"]
     assert [item.label for item in part.non_preventing] == [
         "FD1", "FD2", "FD3", "FD5", "FD9", "FD11", "FD12", "FD14", "FD16",
@@ -107,7 +113,8 @@ def test_partition_step3(step2, case_study):
 
 
 def test_partition_property(step1, case_study):
-    part = partition_preventing(step1.new_relation, case_study.fds)
+    rel = step1.new_relation
+    part = partition_preventing(rel, case_study.projected_fds(rel))
     assert part.preventing == ()
     assert part.completeness_count == 2
     assert part.total_attributes == 2
@@ -133,7 +140,7 @@ def test_partition_preserves_schema_fd_order(case_study):
 
 def test_primary_mode_never_enumerates_keys():
     wide = RelationSchema("W", tuple(f"a{i}" for i in range(25)), ("a0",))
-    fds = (fd("F1", "a0", " ".join(f"a{i}" for i in range(1, 25))),)
+    fds = normalize_fds((fd("F1", "a0", " ".join(f"a{i}" for i in range(1, 25))),))
     assert relation_nc(wide, fds, PRIMARY).normal_form is NormalForm.BCNF
     with pytest.raises(CapacityError):
         relation_nc(wide, fds, STRICT).normal_form
@@ -143,9 +150,10 @@ def test_bcnf_iff_no_preventing_dependency():
     # Holds whenever attributes are atomic and the primary key is a candidate
     # key; the corpus generator guarantees both.
     for schema, _keys in build_corpus(count=120, seed=3):
-        rel = schema.relations[0]
-        is_bcnf = relation_nc(rel, schema.fds).normal_form is NormalForm.BCNF
-        no_preventing = not partition_preventing(rel, schema.fds).preventing
+        (rel,) = schema.relations
+        fds = schema.projected_fds(rel)
+        is_bcnf = relation_nc(rel, fds).normal_form is NormalForm.BCNF
+        no_preventing = not partition_preventing(rel, fds).preventing
         assert is_bcnf == no_preventing
 
 
@@ -173,18 +181,24 @@ def test_textbook_cases_in_both_modes(relation, fds, primary, strict):
 
 
 def test_only_a_list_that_projecting_leaves_unchanged_is_read_as_it_is(case_study, step1):
-    # A dependency with two dependents inside the heading is still split.
+    # A dependency with two dependents inside the heading is refused, not split.
     rel = RelationSchema("R", ("a", "b", "c", "d"), ("a",))
-    split = partition_preventing(rel, (fd("F1", "b", "c d"),))
-    assert [item.label for item in split.preventing] == ["F1.a", "F1.b"]
-    # step1's reduced relation has a narrower heading than the fixture relation.
-    schema = step1.nc_after.schema
+    with pytest.raises(ForeignAttributeError, match="'F1' is not in the projection onto"):
+        partition_preventing(rel, (fd("F1", "b", "c d"),))
+    assert partition_preventing(rel, normalize_fds((fd("F1", "b", "c d"),))).preventing == (
+        fd("F1.a", "b", "c"), fd("F1.b", "b", "d"),
+    )
+    # step1's reduced relation has a narrower heading than the fixture relation:
+    # the global list and the fixture relation's projection both reach pAddress.
     (wide,) = case_study.relations
     narrow = step1.reduced_relation
-    wide_projection = case_study.projected_fds(wide)
-    assert partition_preventing(narrow, wide_projection) == partition_preventing(
-        narrow, schema.projected_fds(narrow)
-    ) == partition_preventing(narrow, case_study.fds)
+    for fds in (case_study.projected_fds(wide), case_study.fds):
+        with pytest.raises(ForeignAttributeError, match="'FD6'"):
+            partition_preventing(narrow, fds)
+    own = step1.nc_after.schema.projected_fds(narrow)
+    assert partition_preventing(narrow, own) == partition_preventing(
+        narrow, case_study.projected_fds(narrow)
+    )
 
 
 def test_both_modes_match_the_brute_force_normal_form_oracle():
@@ -194,4 +208,4 @@ def test_both_modes_match_the_brute_force_normal_form_oracle():
             projected = schema.projected_fds(rel)
             for mode in (PRIMARY, STRICT):
                 expected = brute_force_normal_form(rel, projected, strict=mode is STRICT)
-                assert relation_nc(rel, schema.fds, mode).normal_form == expected, (rel, mode)
+                assert relation_nc(rel, projected, mode).normal_form == expected, (rel, mode)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import normlens.classify
 import normlens.completeness
+import normlens.model
 from normlens import (
     ClassificationMode,
     FDPartition,
+    ForeignAttributeError,
     FunctionalDependency,
     NormalForm,
     RelationSchema,
@@ -109,21 +110,21 @@ def test_one_fraction_scores_equal_the_paper_formula(monkeypatch):
 
 
 def test_relation_nc_case_study_values(case_study, step1, step2):
-    fds = case_study.fds
-    first = relation_nc(case_study.relations[0], fds)
+    fds = case_study.projected_fds
+    first = relation_nc(case_study.relations[0], fds(case_study.relations[0]))
     assert first.nc == Fraction(13, 8)
     assert first.nc_display == "1.62"
     assert first.membership == Fraction(5, 8)
 
-    second = relation_nc(step1.reduced_relation, fds)
+    second = relation_nc(step1.reduced_relation, fds(step1.reduced_relation))
     assert second.nc == 2 + Fraction(5, 7)
     assert second.nc_display == "2.71"
 
-    third = relation_nc(step2.reduced_relation, fds)
+    third = relation_nc(step2.reduced_relation, fds(step2.reduced_relation))
     assert third.nc == Fraction(15, 4)
     assert third.nc_display == "3.75"
 
-    bcnf = relation_nc(step1.new_relation, fds)
+    bcnf = relation_nc(step1.new_relation, fds(step1.new_relation))
     assert bcnf.normal_form is NormalForm.BCNF
     assert bcnf.nc == Fraction(4)
     assert bcnf.nc_display == "4.00"
@@ -169,18 +170,22 @@ def test_a_score_sums_its_total_when_first_read(step1):
 
 def test_scoring_projects_each_relation_once(case_study, monkeypatch):
     calls = []
-    original = normlens.classify.project_fds
+    original = normlens.model.project_fds
 
     def counting(fds, attrs):
         calls.append(attrs)
         return original(fds, attrs)
 
-    monkeypatch.setattr(normlens.classify, "project_fds", counting)
+    monkeypatch.setattr(normlens.model, "project_fds", counting)
     schema = fixture_copies(case_study, 3)
     scored = schema_nc(schema)
-    assert calls == []
-    assert scored.per_relation == tuple(relation_nc(rel, schema.fds) for rel in schema.relations)
-    assert len(calls) == 3  # a global list is still projected
+    assert len(calls) == 3
+    projected = tuple(relation_nc(rel, schema.projected_fds(rel)) for rel in schema.relations)
+    assert scored.per_relation == projected
+    assert len(calls) == 3  # each heading's projection is kept on the schema
+    # A global list is refused, not projected again.
+    with pytest.raises(ForeignAttributeError, match="'FD1_1'"):
+        relation_nc(schema.relations[0], schema.fds)
 
 
 def test_empty_schema_total_is_zero():
@@ -231,7 +236,8 @@ def test_membership_monotone_in_counts(cpn):
 
 def test_nc_stays_within_one_level_of_n():
     for schema, _keys in build_corpus(count=120, seed=5):
-        scored = relation_nc(schema.relations[0], schema.fds)
+        (rel,) = schema.relations
+        scored = relation_nc(rel, schema.projected_fds(rel))
         if scored.normal_form is NormalForm.BCNF:
             assert scored.nc == 4
         else:

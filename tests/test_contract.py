@@ -7,6 +7,12 @@ FD labels, and scores taken from another FD list or in another relation
 order. Where ``validate_schema`` reports an error, ``schema_nc``,
 ``normalize_to_bcnf`` and ``decompose_step`` each raise ``InvalidSchemaError``;
 otherwise every normal form they report is the brute-force one.
+
+The per-relation entries (``relation_nc`` in both modes,
+``partition_preventing`` and ``candidate_keys``) get a relation and an FD list:
+a projection, or a global list with foreign attributes, empty sides, trivial
+or multi-dependent FDs. On a valid schema's ``projected_fds`` they match the
+brute force; on any other list they raise ``ForeignAttributeError``.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from hypothesis import strategies as st
 from normlens import (
     AttributeSpec,
     ClassificationMode,
+    ForeignAttributeError,
     FunctionalDependency,
     InvalidSchemaError,
     NormalForm,
@@ -25,13 +32,18 @@ from normlens import (
     RelationSchema,
     Schema,
     SchemaNC,
+    candidate_keys,
     decompose_step,
+    normalize_fds,
     normalize_to_bcnf,
+    partition_preventing,
+    project_fds,
+    relation_nc,
     schema_nc,
     validate_schema,
 )
 
-from oracles import brute_force_normal_form
+from oracles import brute_force_keys, brute_force_normal_form, naive_closure
 
 _ATTRIBUTES = ("a", "b", "c", "d", "e")
 _ODD_NAMES = ("", "a b", "x\ny", "9z", "zz")  # "zz" is a good name that no heading holds
@@ -141,3 +153,72 @@ def test_an_entry_refuses_an_invalid_schema_and_classifies_a_valid_one(schema, m
         with pytest.raises(ValueError, match="is not the") as refused:
             decompose_step(hand_built, name)
         assert type(refused.value) is ValueError
+
+
+@st.composite
+def relations_and_fd_lists(
+    draw: st.DrawFn,
+) -> tuple[RelationSchema, tuple[FunctionalDependency, ...]]:
+    # A relation R, and an FD list or R's projection of it.
+    heading = draw(st.lists(st.sampled_from(_ATTRIBUTES), min_size=1, max_size=5, unique=True))
+    atomic = st.sampled_from((True,) * 19 + (False,))
+    key = draw(st.lists(st.sampled_from(heading), min_size=1, max_size=2, unique=True))
+    relation = RelationSchema("R", [AttributeSpec(name, draw(atomic)) for name in heading], key)
+    # Most FDs keep to the heading; the others may reach outside it. A clean FD
+    # has a determinant and dependents apart from it; any other may have an
+    # empty side or be trivial.
+    clean = draw(st.booleans())
+    fds = []
+    for number in range(draw(st.integers(1, 6))):
+        pool = draw(st.sampled_from((heading, heading, _ATTRIBUTES)))
+        if clean:
+            determinant = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+            rest = [name for name in pool if name not in determinant]
+            if not rest:
+                continue
+            dependents = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=2, unique=True))
+        else:
+            side = st.lists(st.sampled_from(pool), max_size=3, unique=True)
+            determinant, dependents = draw(side), draw(side)
+        fds.append(FunctionalDependency(f"F{number}", determinant, dependents))
+    if draw(st.booleans()):
+        return relation, project_fds(normalize_fds(fds), heading)
+    return relation, tuple(fds)
+
+
+def _is_a_valid_schemas_projection(
+    relation: RelationSchema, fds: tuple[FunctionalDependency, ...]
+) -> bool:
+    # The list, relabeled (projecting names the parts of a split FD "F.a", "F.b"),
+    # must be the projection onto the relation of a valid schema that holds just
+    # those FDs; U holds every attribute, so that no FD is unknown to it.
+    own = tuple(
+        FunctionalDependency(f"G{n}", fd.determinant, fd.dependents) for n, fd in enumerate(fds)
+    )
+    schema = Schema("s", (relation, RelationSchema("U", _ATTRIBUTES, _ATTRIBUTES)), own)
+    return validate_schema(schema).ok and schema.projected_fds(relation) == own
+
+
+@settings(max_examples=400, deadline=None)
+@given(relations_and_fd_lists())
+def test_a_per_relation_entry_reads_only_a_valid_schemas_projection(case):
+    relation, fds = case
+    entries = (
+        *(lambda mode=mode: relation_nc(relation, fds, mode) for mode in ClassificationMode),
+        lambda: partition_preventing(relation, fds),
+        lambda: candidate_keys(relation, fds),
+    )
+    if not _is_a_valid_schemas_projection(relation, fds):
+        for entry in entries:
+            with pytest.raises(ForeignAttributeError):
+                entry()
+        return
+
+    for mode in ClassificationMode:
+        expected = brute_force_normal_form(relation, fds, mode is ClassificationMode.STRICT)
+        assert relation_nc(relation, fds, mode).normal_form == expected, mode
+    superkey = {fd: naive_closure(fd.determinant, fds) >= relation.attribute_set for fd in fds}
+    partition = partition_preventing(relation, fds)
+    assert partition.preventing == tuple(fd for fd in fds if not superkey[fd])
+    assert partition.non_preventing == tuple(fd for fd in fds if superkey[fd])
+    assert list(candidate_keys(relation, fds)) == brute_force_keys(relation, fds)

@@ -104,7 +104,8 @@ def test_candidate_keys_capacity_error():
 def test_candidate_keys_match_brute_force_on_wide_headings():
     # Wider than build_corpus's default 8 attributes, still within brute force's reach.
     for schema, keys in build_corpus(60, seed=20261018, widths=(9, 13), max_fds=16):
-        assert candidate_keys(schema.relations[0], schema.fds) == tuple(keys)
+        (rel,) = schema.relations
+        assert candidate_keys(rel, schema.projected_fds(rel)) == tuple(keys)
 
 
 @pytest.mark.parametrize("pairs", range(1, 7))
@@ -145,18 +146,24 @@ def test_candidate_keys_work_grows_with_the_keys_not_the_subsets(monkeypatch):
     assert len(calls) <= len(keys) * (len(fds) + 1) * len(names)
 
 
-def test_candidate_keys_of_global_and_projected_fds_agree():
+def test_candidate_keys_refuse_a_global_list():
+    refused = 0
     for schema in build_multi_corpus(200):
         for rel in schema.relations:
-            assert candidate_keys(rel, schema.fds) == candidate_keys(
-                rel, schema.projected_fds(rel)
-            )
+            if schema.projected_fds(rel) == normalize_fds(schema.fds):
+                continue  # the global list is this relation's projection
+            with pytest.raises(ForeignAttributeError, match=f"onto relation '{rel.name}'"):
+                candidate_keys(rel, schema.fds)
+            refused += 1
+    assert refused > 100
 
 
-def test_candidate_keys_ignore_dependencies_through_foreign_attributes():
-    # a -> z -> b chains through z, which R lacks, so it does not give a -> b.
+def test_candidate_keys_refuse_dependencies_through_foreign_attributes():
+    # a -> z -> b chains through z, which R lacks: no projection onto R holds it.
     rel = RelationSchema("R", ("a", "b"), ("a", "b"))
-    assert candidate_keys(rel, (fd("F1", "a", "z"), fd("F2", "z", "b"))) == (
+    with pytest.raises(ForeignAttributeError, match="'F1'"):
+        candidate_keys(rel, (fd("F1", "a", "z"), fd("F2", "z", "b")))
+    assert candidate_keys(rel, project_fds((fd("F1", "a", "z"), fd("F2", "z", "b")), "a b")) == (
         frozenset({"a", "b"}),
     )
 
@@ -235,6 +242,7 @@ def test_closure_is_monotone(case, data):
 def test_candidate_keys_are_minimal_superkeys(case):
     names, fds, _subset = case
     rel = RelationSchema("R", names, names)
+    fds = normalize_fds(fds)
     keys = candidate_keys(rel, fds)
     assert list(keys) == brute_force_keys(rel, fds)
     for key in keys:

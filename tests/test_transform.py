@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-import normlens.classify
 import normlens.completeness
 import normlens.transform
 from normlens import (
@@ -86,9 +89,10 @@ def test_normalize_full_run(case_study):
         "16.00",
     ]
     assert trace.final_nc.total == Fraction(16)
-    assert len(trace.final_nc.schema.relations) == 4
-    for rel in trace.final_nc.schema.relations:
-        assert relation_nc(rel, trace.final_nc.schema.fds).normal_form is NormalForm.BCNF
+    final = trace.final_nc.schema
+    assert len(final.relations) == 4
+    for rel in final.relations:
+        assert relation_nc(rel, final.projected_fds(rel)).normal_form is NormalForm.BCNF
 
 
 def test_normalize_already_bcnf_schema_is_a_fixpoint():
@@ -115,11 +119,11 @@ def test_unknown_relation_error(case_study):
 
 
 def _hand_built(schema: Schema) -> SchemaNC:
-    # Each relation scored against the global FD list, past schema_nc and its validation.
+    # Each relation scored against its projection, past schema_nc and its validation.
     return SchemaNC(
         schema,
         ClassificationMode.PRIMARY,
-        tuple(relation_nc(rel, schema.fds) for rel in schema.relations),
+        tuple(relation_nc(rel, schema.projected_fds(rel)) for rel in schema.relations),
     )
 
 
@@ -191,6 +195,39 @@ def test_rename_collision_is_rejected(case_study):
         )
 
 
+def test_a_renamed_relation_must_get_an_identifier():
+    # Without the check, the step's score would hold a schema with BAD_RELATION_NAME.
+    schema = Schema(
+        "s",
+        (RelationSchema("R", ("a", "b", "c", "d"), ("a",)),),
+        (fd("F1", "b", "c"), fd("F2", "c", "d")),
+    )
+    for rename in ({"R_b": "x y\nz"}, {"R": ""}):
+        with pytest.raises(DecompositionError, match="is not an identifier"):
+            decompose_step(schema_nc(schema), "R", rename=rename)
+        with pytest.raises(DecompositionError, match="is not an identifier"):
+            normalize_to_bcnf(schema, rename=rename)
+
+
+def test_the_readme_python_example_prints_the_fixture_score():
+    # The example renames every relation it splits. A leaked file raises
+    # ResourceWarning in a destructor, where Python prints it and exits 0
+    # anyway, so stderr must be empty too.
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert blocks
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", "".join(blocks)],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        check=False,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[0] == "16.00"
+
+
 def test_normalize_rejects_partial_dependency_with_superkey_determinant():
     # Oversized primary key: {a} already determines everything, so F1 blocks
     # 2NF without being a preventing dependency. No split can fix that.
@@ -199,7 +236,8 @@ def test_normalize_rejects_partial_dependency_with_superkey_determinant():
         (RelationSchema("R", ("a", "b", "c"), ("a", "b")),),
         (fd("F1", "a", "b"), fd("F2", "a", "c")),
     )
-    assert relation_nc(schema.relations[0], schema.fds).normal_form is NormalForm.FIRST
+    (rel,) = schema.relations
+    assert relation_nc(rel, schema.projected_fds(rel)).normal_form is NormalForm.FIRST
     with pytest.raises(DecompositionError, match="no preventing"):
         normalize_to_bcnf(schema)
 
@@ -258,14 +296,13 @@ def test_new_relation_bcnf_flag_is_accurate(case_study, step1, step2, step3):
         except DecompositionError:
             continue
         for step in trace.steps:
-            expected = (
-                relation_nc(step.new_relation, trace.initial_nc.schema.fds).normal_form
-                is NormalForm.BCNF
-            )
+            new = step.new_relation
+            expected = relation_nc(new, schema.projected_fds(new)).normal_form is NormalForm.BCNF
             assert step.new_relation_bcnf == expected
             flagged += not expected
-        for rel in trace.final_nc.schema.relations:
-            assert relation_nc(rel, trace.final_nc.schema.fds).normal_form is NormalForm.BCNF
+        final = trace.final_nc.schema
+        for rel in final.relations:
+            assert relation_nc(rel, final.projected_fds(rel)).normal_form is NormalForm.BCNF
     assert flagged > 0  # the corpus does exercise the exceptional case
 
 
@@ -358,16 +395,22 @@ def test_an_fd_that_moves_no_attribute_is_an_invalid_schema(determinant, depende
         with pytest.raises(InvalidSchemaError, match="'F1'") as invalid:
             entry(schema)
         assert [v.code for v in invalid.value.report.errors] == [code]
+    # F1 is no relation's projection, so the scores by hand are R's without it.
+    without_f1 = schema_nc(Schema("s", schema.relations)).per_relation
     with pytest.raises(InvalidSchemaError, match="'F1'"):
-        decompose_step(_hand_built(schema), "R")
+        decompose_step(SchemaNC(schema, ClassificationMode.PRIMARY, without_f1), "R")
+
+
+def _from_scratch(schema: Schema, relation: RelationSchema) -> tuple[FunctionalDependency, ...]:
+    # The relation's projection, bypassing the schema's FD index.
+    return project_fds(normalize_fds(schema.fds), relation.attribute_set)
 
 
 def _scored_from_scratch(schema: Schema, mode: ClassificationMode) -> SchemaNC:
-    # Every relation scored against the global FD list, bypassing the schema's
-    # FD index and any score a run carried forward.
-    return SchemaNC(
-        schema, mode, tuple(relation_nc(rel, schema.fds, mode) for rel in schema.relations)
-    )
+    # Every relation scored without the schema's FD index or any score a run carried forward.
+    return SchemaNC(schema, mode, tuple(
+        relation_nc(rel, _from_scratch(schema, rel), mode) for rel in schema.relations
+    ))
 
 
 @pytest.mark.parametrize("mode", list(ClassificationMode))
@@ -382,8 +425,9 @@ def test_carried_scores_equal_scores_recomputed_from_scratch(mode):
         for step in trace.steps:
             assert step.nc_before == _scored_from_scratch(before, mode)
             assert step.nc_after == _scored_from_scratch(step.nc_after.schema, mode)
+            new = step.new_relation
             assert step.new_relation_bcnf == (
-                relation_nc(step.new_relation, schema.fds, mode).normal_form is NormalForm.BCNF
+                relation_nc(new, _from_scratch(schema, new), mode).normal_form is NormalForm.BCNF
             )
             # The derived relations are the scored schemas' own objects.
             relations_after = step.nc_after.schema.relations
@@ -464,8 +508,6 @@ def test_normalize_projects_each_relation_once(case_study, monkeypatch, mode):
         return original(self, relation)
 
     monkeypatch.setattr(Schema, "projected_fds", counting)
-    # Scoring reads those projections as they are.
-    monkeypatch.setattr(normlens.classify, "project_fds", None)
     copies = 8
     schema = fixture_copies(case_study, copies)
     # Validated first, as parse_schema does: its superkey test reads the projections too.
