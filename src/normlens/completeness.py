@@ -12,14 +12,15 @@ and p = n, grows with c and shrinks with p.
 
 A BCNF relation contributes exactly 4, the top of the ladder, not 4 + x: the
 scale ends at BCNF, so schema totals stay additive as decomposition replaces
-one scored relation with several. All arithmetic is exact ``Fraction`` math;
-the only place precision is lost is the two-decimal display truncation.
+one scored relation with several. All arithmetic is exact: each score is kept
+as its reduced integer ratio, and its public ``Fraction`` is built on first
+read, so scoring and rendering load no ``fractions``. The only place
+precision is lost is the two-decimal display truncation.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from .classify import FDPartition, classify_partition, partition_preventing
@@ -32,13 +33,39 @@ from .model import (
     RelationSchema,
     Schema,
     _Record,
-    truncated,
+    _truncated,
+    truncated,  # noqa: F401  the README documents normlens.completeness.truncated
     validate_schema,
 )
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
-    from collections.abc import Sequence
+    from collections.abc import Iterable, Sequence
+    from fractions import Fraction
+
+    Ratio = tuple[int, int]  # (numerator, denominator), reduced, denominator > 0
+
+
+def _membership(completeness: int, preventing: int, total: int) -> Ratio:
+    # x = (c + n - p) / 2n, reduced; N + x over the same denominator is reduced too.
+    num, den = completeness + total - preventing, 2 * total
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _sum(ratios: Iterable[Ratio]) -> Ratio:
+    num, den = 0, 1
+    for n, d in ratios:
+        num, den = num * d + n * den, den * d
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    return num, den
+
+
+def _fraction(ratio: Ratio) -> Fraction:
+    from fractions import Fraction  # loaded only by a caller that reads a score
+
+    return Fraction(*ratio)
 
 
 def fuzzy_membership(completeness: int, preventing: int, total: int) -> Fraction:
@@ -54,14 +81,15 @@ def fuzzy_membership(completeness: int, preventing: int, total: int) -> Fraction
         )
     if not 0 <= preventing <= total:
         raise ValueError(f"preventing count {preventing} out of range [0, {total}]")
-    return Fraction(completeness + total - preventing, 2 * total)
+    return _fraction(_membership(completeness, preventing, total))
 
 
 class RelationNC(_Record):
     """Normalization completeness of one relation: its normal form and partition.
 
-    The constructor derives ``relation_name``, ``membership`` x and ``nc``
-    (N + x below BCNF, exactly 1 and 4 in BCNF).
+    The constructor derives ``relation_name`` and the reduced integer ratios
+    ``_membership`` of x and ``_nc`` (N + x below BCNF, exactly 1 and 4 in
+    BCNF); ``membership`` and ``nc`` are their ``Fraction`` values.
     """
 
     normal_form: NormalForm
@@ -69,41 +97,56 @@ class RelationNC(_Record):
 
     def __init__(self, normal_form: NormalForm, partition: FDPartition) -> None:
         if normal_form is NormalForm.BCNF:
-            membership, nc = Fraction(1), Fraction(4)
+            membership, nc = (1, 1), (4, 1)
         else:
-            c, p = partition.completeness_count, partition.preventing_count
-            n = partition.total_attributes
-            membership = fuzzy_membership(c, p, n)
-            nc = Fraction(2 * n * normal_form.value + c + n - p, 2 * n)
+            num, den = membership = _membership(
+                partition.completeness_count,
+                partition.preventing_count,
+                partition.total_attributes,
+            )
+            nc = (normal_form.value * den + num, den)
         vars(self).update(
             normal_form=normal_form,
             partition=partition,
             relation_name=partition.relation_name,
-            membership=membership,
-            nc=nc,
+            _membership=membership,
+            _nc=nc,
         )
+
+    @cached_property
+    def membership(self) -> Fraction:
+        return _fraction(self._membership)
+
+    @cached_property
+    def nc(self) -> Fraction:
+        return _fraction(self._nc)
 
     @property
     def nc_display(self) -> str:
-        return truncated(self.nc)
+        return _truncated(*self._nc)
 
 
 class SchemaNC(_Record):
-    """The scored schema, its per-relation scores and their exact sum, computed once."""
+    """The scored schema, its per-relation scores and their exact sum, computed once.
+
+    ``_total`` is the sum as a reduced integer ratio; ``total`` is its ``Fraction``.
+    """
 
     schema: Schema
     mode: ClassificationMode
     per_relation: tuple[RelationNC, ...]
 
     @cached_property
+    def _total(self) -> Ratio:
+        return _sum(r._nc for r in self.per_relation)
+
+    @cached_property
     def total(self) -> Fraction:
-        ncs = [r.nc for r in self.per_relation]
-        den = math.lcm(*(nc.denominator for nc in ncs))
-        return Fraction(sum(nc.numerator * (den // nc.denominator) for nc in ncs), den)
+        return _fraction(self._total)
 
     @property
     def total_display(self) -> str:
-        return truncated(self.total)
+        return _truncated(*self._total)
 
 
 def relation_nc(

@@ -38,17 +38,16 @@ from .model import (
     Schema,
     Severity,
     _Record,
-    truncated,
+    _truncated,
     validate_schema,
 )
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:  # parsing needs none of these; emit_report imports what it renders
     from collections.abc import Callable, Iterable
-    from fractions import Fraction
     from typing import Any
 
-    from .completeness import RelationNC, SchemaNC
+    from .completeness import Ratio, RelationNC, SchemaNC
     from .transform import TransformStep, TransformTrace
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -332,11 +331,12 @@ def _shared(cache: dict, render: Callable[..., Any], obj: Any, pad: str) -> Any:
     return entry[1]
 
 
-def _rational(value: Fraction, pad: str) -> str:
+def _rational(value: Ratio, pad: str) -> str:
     p1 = pad + "  "  # the display is digits and a point: nothing to escape
+    num, den = value
     return (
-        f'{{{p1}"den": {value.denominator},{p1}"display": "{truncated(value)}",'
-        f'{p1}"num": {value.numerator}{pad}}}'
+        f'{{{p1}"den": {den},{p1}"display": "{_truncated(num, den)}",'
+        f'{p1}"num": {num}{pad}}}'
     )
 
 
@@ -391,8 +391,8 @@ def _relation_nc(rnc: RelationNC, pad: str, cache: object) -> str:
         f'{p2}"relation": {_quote(part.relation_name)}{p1}}}'
     )
     return (
-        f'{{{p1}"membership": {_rational(rnc.membership, p1)},'
-        f'{p1}"name": {_quote(rnc.relation_name)},{p1}"nc": {_rational(rnc.nc, p1)},'
+        f'{{{p1}"membership": {_rational(rnc._membership, p1)},'
+        f'{p1}"name": {_quote(rnc.relation_name)},{p1}"nc": {_rational(rnc._nc, p1)},'
         f'{p1}"normal_form": {{{p2}"label": {_quote(form.label)},'
         f'{p2}"level": {form.value}{p1}}},{p1}"partition": {partition}{pad}}}'
     )
@@ -404,7 +404,7 @@ def _schema_nc(nc: SchemaNC, pad: str, cache: dict, kind: str = "") -> str:
     return (
         f'{{{kind}{p1}"mode": {_quote(nc.mode.value)},'
         f'{p1}"relations": {_array(relations, p1)},{p1}"schema": {_quote(nc.schema.name)},'
-        f'{p1}"total": {_rational(nc.total, p1)}{pad}}}'
+        f'{p1}"total": {_rational(nc._total, p1)}{pad}}}'
     )
 
 
@@ -450,14 +450,19 @@ def _labels(fds: tuple[FunctionalDependency, ...]) -> str:
     return ", ".join(fd.label for fd in fds) or "(none)"
 
 
-def _term(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else truncated(value)
+def _term(value: Ratio) -> str:
+    return str(value[0]) if value[1] == 1 else _truncated(*value)
+
+
+def _exact(value: Ratio) -> str:
+    # str(Fraction(*value)): the numerator alone when the denominator is 1.
+    return str(value[0]) if value[1] == 1 else f"{value[0]}/{value[1]}"
 
 
 def _equation(nc: SchemaNC) -> str:
     if len(nc.per_relation) < 2:
         return nc.total_display
-    terms = " + ".join(_term(r.nc) for r in nc.per_relation)
+    terms = " + ".join(_term(r._nc) for r in nc.per_relation)
     return f"{terms} = {nc.total_display}"
 
 
@@ -473,8 +478,8 @@ def _text_schema_nc(nc: SchemaNC) -> list[str]:
             f"  non-preventing FDs ({len(part.non_preventing)}): {_labels(part.non_preventing)}",
             f"  attributes: completeness {part.completeness_count},"
             f" preventing {part.preventing_count}, total {part.total_attributes}",
-            f"  membership x = {truncated(rnc.membership)} (exact {rnc.membership})",
-            f"  NC = {rnc.nc_display} (exact {rnc.nc})",
+            f"  membership x = {_truncated(*rnc._membership)} (exact {_exact(rnc._membership)})",
+            f"  NC = {rnc.nc_display} (exact {_exact(rnc._nc)})",
         ]
     lines += ["", _equation(nc)]
     return lines

@@ -58,7 +58,12 @@ _NF_LABELS = {
 
 def truncated(value: Fraction) -> str:
     """Two-decimal truncation: 0.625 -> '0.62', 5/7 -> '0.71'. Floor, not round."""
-    hundredths = value.numerator * 100 // value.denominator
+    return _truncated(value.numerator, value.denominator)
+
+
+def _truncated(numerator: int, denominator: int) -> str:
+    # ``truncated`` of numerator / denominator, for the scores kept as integer ratios.
+    hundredths = numerator * 100 // denominator
     return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .completeness import SchemaNC, relation_nc, schema_nc
+from .completeness import SchemaNC, _sum, relation_nc, schema_nc
 from .errors import AlreadyBCNFError, DecompositionError, UnknownRelationError
 from .fd import DEFAULT_KEY_CAP
 from .model import (
@@ -168,8 +168,9 @@ def decompose_step(
     scores[position] = reduced_nc
     nc_after = SchemaNC(schema_after, mode, (*scores, new_nc))
     # Every other relation's score carries over: seed the cached total with the difference.
-    total = nc_before.total - scored.nc + reduced_nc.nc + new_nc.nc
-    vars(nc_after).update(total=total, _trusted=True)
+    num, den = scored._nc
+    total = _sum((nc_before._total, (-num, den), reduced_nc._nc, new_nc._nc))
+    vars(nc_after).update(_total=total, _trusted=True)
     return TransformStep(position, tuple(fd.label for fd in group), nc_before, nc_after)
 
 

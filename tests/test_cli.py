@@ -511,7 +511,9 @@ except SystemExit:
     pass
 print(" ".join(sorted(sys.modules)))
 """
-_SCORING = {"fractions", "normlens.classify", "normlens.completeness", "normlens.transform"}
+_SCORING = {"normlens.classify", "normlens.completeness", "normlens.transform"}
+# Scores are integer ratios; only a library read of a score builds a Fraction.
+_FRACTIONS = {"fractions", "decimal", "numbers"}
 # dataclasses imports inspect, and generates and compiles methods for each class.
 _GENERATED_CODE = {"dataclasses", "inspect"}
 # argparse imports gettext, which imports locale, and its help formatter imports shutil;
@@ -567,6 +569,7 @@ def test_each_command_loads_only_the_modules_it_runs(command, unused):
     assert loaded & _GENERATED_CODE == set()
     assert _SCORING - unused <= loaded
     assert loaded & _PARSER_AND_TYPING == set()
+    assert loaded & _FRACTIONS == set()
     # Help and usage errors are still argparse's.
     usage = f"usage: normlens {command} [-h]"
     bad = run_without_site(command, "--mode", "bogus", FIXTURE)

@@ -11,6 +11,7 @@ import normlens.completeness
 import normlens.model
 from normlens import (
     ClassificationMode,
+    DecompositionError,
     FDPartition,
     ForeignAttributeError,
     FunctionalDependency,
@@ -19,6 +20,7 @@ from normlens import (
     Schema,
     SchemaNC,
     fuzzy_membership,
+    normalize_to_bcnf,
     relation_nc,
     schema_nc,
     truncated,
@@ -166,6 +168,29 @@ def test_a_score_sums_its_total_when_first_read(step1):
         assert scored.total == sum(r.nc for r in scored.per_relation)
         denominators.add(frozenset(r.nc.denominator for r in scored.per_relation))
     assert len(denominators) > 10  # many mixes of denominators were summed
+
+
+def test_library_reads_are_fractions_equal_to_a_fresh_score(case_study):
+    # Scores are kept as integer ratios; every public read is still a Fraction.
+    assert type(fuzzy_membership(8, 6, 8)) is Fraction
+    assert normlens.completeness.truncated is truncated
+    steps = 0
+    for mode in ClassificationMode:
+        for schema in (case_study, *build_multi_corpus(40)):
+            try:
+                trace = normalize_to_bcnf(schema, mode)
+            except DecompositionError:
+                continue
+            for nc in (trace.initial_nc, *(step.nc_after for step in trace.steps)):
+                assert type(nc.total) is Fraction
+                assert nc.total == schema_nc(nc.schema, mode).total
+                assert nc.total == sum(r.nc for r in nc.per_relation)
+                for rnc in nc.per_relation:
+                    assert type(rnc.nc) is Fraction and type(rnc.membership) is Fraction
+                    assert (rnc.nc.numerator, rnc.nc.denominator) == rnc._nc
+                    assert (rnc.membership.numerator, rnc.membership.denominator) == rnc._membership
+            steps += len(trace.steps)
+    assert steps > 50
 
 
 def test_scoring_projects_each_relation_once(case_study, monkeypatch):

@@ -6,7 +6,9 @@ or newlines, keys and FDs over foreign attributes, repeated relation names and
 FD labels, and scores taken from another FD list or in another relation
 order. Where ``validate_schema`` reports an error, ``schema_nc``,
 ``normalize_to_bcnf`` and ``decompose_step`` each raise ``InvalidSchemaError``;
-otherwise every normal form they report is the brute-force one.
+otherwise every normal form they report is the brute-force one, and
+``emit_report`` writes every score as its exact value: each structured
+``{num, den, display}`` and each text "exact" term is the record's ``Fraction``.
 
 The per-relation entries (``relation_nc`` in both modes,
 ``partition_preventing`` and ``candidate_keys``) get a relation and an FD list:
@@ -16,6 +18,9 @@ brute force; on any other list they raise ``ForeignAttributeError``.
 """
 
 from __future__ import annotations
+
+import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -34,12 +39,14 @@ from normlens import (
     SchemaNC,
     candidate_keys,
     decompose_step,
+    emit_report,
     normalize_fds,
     normalize_to_bcnf,
     partition_preventing,
     project_fds,
     relation_nc,
     schema_nc,
+    truncated,
     validate_schema,
 )
 
@@ -110,6 +117,30 @@ def _assert_brute_force_normal_forms(nc: SchemaNC) -> None:
         assert scored.normal_form == expected, (relation, nc.mode)
 
 
+def _rational(value) -> dict:
+    return {"num": value.numerator, "den": value.denominator, "display": truncated(value)}
+
+
+def _assert_rendered_scores(nc: SchemaNC, payload: dict) -> None:
+    # A structured score against the record's Fraction values.
+    assert payload["total"] == _rational(nc.total)
+    for scored, rendered in zip(nc.per_relation, payload["relations"], strict=True):
+        assert rendered["membership"] == _rational(scored.membership)
+        assert rendered["nc"] == _rational(scored.nc)
+
+
+def _assert_reports_are_exact(nc: SchemaNC, trace: object) -> None:
+    _assert_rendered_scores(nc, json.loads(emit_report(nc, "structured")))
+    exact = re.findall(r"\(exact (.*?)\)$", emit_report(nc), re.M)
+    assert exact == [str(value) for r in nc.per_relation for value in (r.membership, r.nc)]
+    if not isinstance(trace, type):
+        payload = json.loads(emit_report(trace, "structured"))
+        _assert_rendered_scores(trace.initial_nc, payload["initial_nc"])
+        _assert_rendered_scores(trace.final_nc, payload["final_nc"])
+        for step, rendered in zip(trace.steps, payload["steps"], strict=True):
+            _assert_rendered_scores(step.nc_after, rendered["nc_after"])
+
+
 @settings(max_examples=400, deadline=None)
 @given(schemas(), st.sampled_from(list(ClassificationMode)), st.data())
 def test_an_entry_refuses_an_invalid_schema_and_classifies_a_valid_one(schema, mode, data):
@@ -137,6 +168,7 @@ def test_an_entry_refuses_an_invalid_schema_and_classifies_a_valid_one(schema, m
     step = _outcome(lambda: decompose_step(nc, name))
     if not isinstance(step, type):
         _assert_brute_force_normal_forms(step.nc_after)
+    _assert_reports_are_exact(nc, trace)
 
     # A hand-built score: the schema's own, one read from a sublist of its FDs,
     # or its own in reverse relation order. Only the schema's own may step.

@@ -454,7 +454,7 @@ def test_a_step_carries_the_total_of_every_relation_it_scores():
         except DecompositionError:
             continue
         for step in trace.steps:
-            assert "total" in vars(step.nc_after)  # carried, not summed on first read
+            assert "_total" in vars(step.nc_after)  # carried, not summed on first read
             assert step.nc_after.total == sum(r.nc for r in step.nc_after.per_relation)
             steps_seen += 1
         assert trace.final_nc.total == sum(r.nc for r in trace.final_nc.per_relation)

@@ -16,7 +16,10 @@ the benchmark's ``bulk``, ``decompose`` and ``keysearch`` texts at seeds 1-3,
 as ``bench/run.py`` builds them; and MUTATIONS seeded token-level mutations
 of those inputs. Each input is parsed, and every command of COMMANDS runs on
 it in both formats, except structured ``normalize`` on ``bulk``, whose output
-is over 100 MB. Every argument list of ``spellings()`` also runs, with the
+is over 100 MB. The probe shapes of ``probe_inputs()`` (independent splits,
+an FD chain, and pairs of attributes that determine each other), whose scores
+have larger denominators, run every command in both modes and both formats.
+Every argument list of ``spellings()`` also runs, with the
 fixture on stdin and, in most, as the path: help, usage errors, bad values,
 abbreviations, ``=`` forms, reordered and repeated options, ``-`` and ``--``.
 A change that alters output on purpose lists each such difference in
@@ -54,10 +57,11 @@ COMMANDS = (
     ("analyze", "--mode", "strict", "--key-cap", "3"),
 )
 FORMATS = ("text", "structured")
+PROBE_COMMANDS = (("check",), ("analyze",), ("normalize",), ("normalize", "--trace"), ("keys",))
 FIXTURE = ROOT / "case_study.nls"
 # Differences the working tree makes on purpose: (family, input, arguments, reason). An
-# entry allows a difference in its family (parse_schema, cli.main or argument spellings) on
-# an input whose label starts with its input, when the argument list holds its arguments
+# entry allows a difference in its family (parse_schema, cli.main, probe shapes or argument
+# spellings) on an input whose label starts with its input, when the argument list holds its arguments
 # side by side. Once the change is the reference its entries are stale: empty the list.
 ALLOWED = ()
 
@@ -151,6 +155,32 @@ def base_inputs() -> list[tuple[str, str]]:
     return inputs
 
 
+def probe_inputs() -> list[tuple[str, str]]:
+    """(label, text) of the probe shapes at small sizes.
+
+    ``star k``: k relations Ri(ai, bi, ci) key(ai) with bi -> ci. ``chain n``: one
+    relation R(a0..a(n-1)) key(a0) with a(i) -> a(i+1), listed last to first.
+    ``pairs m``: one relation R(a0..a(m-1), b0..b(m-1)) key(a0..a(m-1)) with ai -> bi
+    and bi -> ai, which has 2^m candidate keys.
+    """
+    inputs = []
+    for k in (1, 3, 7):
+        lines = [f"relation R{i}(a{i}, b{i}, c{i}) key(a{i})" for i in range(k)]
+        lines += [f"fd F{i}: b{i} -> c{i}" for i in range(k)]
+        inputs.append((f"probe star {k}", lines))
+    for n in (3, 5, 8, 13):
+        lines = [f"relation R({', '.join(f'a{i}' for i in range(n))}) key(a0)"]
+        lines += [f"fd F{i}: a{i} -> a{i + 1}" for i in reversed(range(n - 1))]
+        inputs.append((f"probe chain {n}", lines))
+    for m in (2, 3, 5):
+        a, b = ([f"{side}{i}" for i in range(m)] for side in "ab")
+        lines = [f"relation R({', '.join(a + b)}) key({', '.join(a)})"]
+        lines += [f"fd F{i}: a{i} -> b{i}" for i in range(m)]
+        lines += [f"fd G{i}: b{i} -> a{i}" for i in range(m)]
+        inputs.append((f"probe pairs {m}", lines))
+    return [(label, "\n".join(["schema probe", *lines]) + "\n") for label, lines in inputs]
+
+
 def mutate(text: str, rng: random.Random) -> str:
     """One to three token edits: drop, repeat, replace or insert a piece."""
     pieces = _PIECE_RE.findall(text)
@@ -222,10 +252,17 @@ def main(argv: list[str] | None = None) -> int:
         for request in [None, *runs(label)]
     ]
     jobs += [
+        ("probe shapes", label, text, [*command, "--mode", mode, "--format", format], False)
+        for label, text in probe_inputs()
+        for command in PROBE_COMMANDS
+        for mode in ("primary", "strict")
+        for format in FORMATS
+    ]
+    jobs += [
         ("argument spellings", "case_study.nls", _read(FIXTURE), argv, False)
         for argv in spellings(str(FIXTURE))
     ]
-    counts = dict.fromkeys(("parse_schema", "cli.main", "argument spellings"), 0)
+    counts = dict.fromkeys(("parse_schema", "cli.main", "probe shapes", "argument spellings"), 0)
     differing = dict(counts)
     allowed = [0] * len(ALLOWED)
     syntax_errors = 0  # mutations that the reference reads with a syntax error
