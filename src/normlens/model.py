@@ -57,8 +57,10 @@ _NF_LABELS = {
 
 
 def truncated(value: Fraction) -> str:
-    """Two-decimal truncation: 0.625 -> '0.62', 5/7 -> '0.71'. Floor, not round."""
-    return _truncated(value.numerator, value.denominator)
+    """Two-decimal truncation: 0.625 -> '0.62', 5/7 -> '0.71', -1/3 -> '-0.34'. Floor, not round."""
+    hundredths = value.numerator * 100 // value.denominator
+    whole, cents = divmod(abs(hundredths), 100)
+    return f"{'-' if hundredths < 0 else ''}{whole}.{cents:02d}"
 
 
 def _truncated(numerator: int, denominator: int) -> str:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import random
 import string
+import sys
+from pathlib import Path
 
 from normlens import FunctionalDependency, RelationSchema, Schema
 
 from oracles import brute_force_keys
 
 ATTR_POOL = tuple(string.ascii_lowercase)
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
 
 def fd(label: str, determinant: str, dependents: str) -> FunctionalDependency:
@@ -106,3 +109,12 @@ def random_multi_relation_schema(
 def build_multi_corpus(count: int = 200, seed: int = 20261017) -> list[Schema]:
     rng = random.Random(seed)
     return [random_multi_relation_schema(rng) for _ in range(count)]
+
+
+def benchmark_texts(seed: int) -> dict[str, str]:
+    """Each benchmark workload's input text at ``seed``, as ``bench/run.py`` builds it."""
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    from run import WORKLOADS
+
+    return {name: build(seed).text for name, (build, _metrics) in WORKLOADS.items()}

@@ -63,6 +63,8 @@ def test_membership_rejects_out_of_range_counts(c, p, n):
         (Fraction(16), "16.00"),
         (Fraction(0), "0.00"),
         (Fraction(199, 100), "1.99"),
+        (Fraction(-1, 1000), "-0.01"),
+        (Fraction(-1, 3), "-0.34"),
     ],
 )
 def test_truncated_display(value, display):
@@ -79,8 +81,9 @@ _huge = st.integers(min_value=-(10**40), max_value=10**40)
     | _huge
 )
 def test_truncated_floors_hundredths_of_any_rational(value):
-    hundredths = math.floor(value * 100)
-    assert truncated(value) == f"{hundredths // 100}.{hundredths % 100:02d}"
+    display = truncated(value)
+    assert Fraction(display) == Fraction(math.floor(value * 100), 100)
+    assert display.index(".") == len(display) - 3
 
 
 def _fds_over(label, names):

@@ -34,7 +34,7 @@ from normlens import dsl
 from normlens.cli import _check_report, main
 
 from conftest import CASE_STUDY_PATH, fixture_copies
-from corpus import build_corpus, build_multi_corpus, fd
+from corpus import benchmark_texts, build_corpus, build_multi_corpus, fd
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -408,6 +408,22 @@ def test_lists_read_unshared_parse_as_shared_ones(text, rng):
     ]
 
 
+_BENCHMARK = benchmark_texts(1)
+
+
+@pytest.mark.parametrize("name", sorted(_BENCHMARK))
+def test_the_benchmark_texts_read_unshared_give_the_same_output(name):
+    # A space after every comma, then the line number's binary digits, lowest first, as
+    # tab for 1 and space for 0: no two lines share a list text of two or more names.
+    spaced = "\n".join(
+        line.replace(",", ", " + f"{number:b}"[::-1].translate({48: " ", 49: "\t"}))
+        for number, line in enumerate(_BENCHMARK[name].split("\n"), 1)
+    )
+    for command in ("check", "analyze"):
+        plain = _structured(command, ClassificationMode.PRIMARY, _BENCHMARK[name])
+        assert _structured(command, ClassificationMode.PRIMARY, spaced) == plain
+
+
 # str.splitlines() also ends a line at these; grep -n and the DSL do not.
 _NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
@@ -517,13 +533,13 @@ _BAD_TOKENS = st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)).fi
 ) | st.sampled_from(['"', "\\", "\U0001f600"])
 
 
-def _structured(command: str, mode: ClassificationMode, text: str) -> str:
+def _structured(command: str, mode: ClassificationMode, text: str) -> tuple[int, str]:
     stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
     out = io.StringIO()
     with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out):
         with contextlib.redirect_stderr(io.StringIO()):
-            main([command, "--mode", mode.value, "--format", "structured"])
-    return out.getvalue()
+            code = main([command, "--mode", mode.value, "--format", "structured"])
+    return code, out.getvalue()
 
 
 @settings(max_examples=80, deadline=None)
@@ -539,7 +555,7 @@ def test_the_encoder_equals_json_dumps(text, mode, bad):
             reports["normalize"] = normalize_to_bcnf(schema, mode)
     written = {"check"} if schema is None else {"check", "keys", *reports}
     for command in ("check", "keys", "analyze", "normalize"):
-        out = _structured(command, mode, text)
+        out = _structured(command, mode, text)[1]
         assert bool(out) == (command in written)
         if out:
             assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
@@ -547,6 +563,17 @@ def test_the_encoder_equals_json_dumps(text, mode, bad):
             assert emit_report(reports[command], "structured") == out
         if command == "check" and bad is not None:
             assert json.dumps(bad)[1:-1] in out
+
+
+@pytest.mark.parametrize("mode", list(ClassificationMode))
+@pytest.mark.parametrize(
+    "name, command",  # bulk's normalize output is over 100 MB; decoding it takes gigabytes
+    [(n, c) for n in sorted(_BENCHMARK) for c in ("check", "keys", "analyze", "normalize")
+     if (n, c) != ("bulk", "normalize")],
+)
+def test_structured_output_on_the_benchmark_texts_equals_json_dumps(name, command, mode):
+    code, out = _structured(command, mode, _BENCHMARK[name])
+    assert (code, out) == (0, json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n")
 
 
 class _Text(str):

@@ -15,6 +15,7 @@ NC ``1/6``) that decomposition cannot raise.
 from __future__ import annotations
 
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -94,3 +95,10 @@ def test_command_output_matches_golden(capsys, monkeypatch, name):
     assert captured.out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
     expected_err = b"" if source in INPUTS else (GOLDEN / f"{name}.err").read_bytes()
     assert captured.err.encode("utf-8") == expected_err
+
+
+def test_each_structured_golden_is_json_dumps_of_itself():
+    # With the tests above, every structured output they pin is json.dumps of itself.
+    for path in [*GOLDEN.glob("*.json"), *GOLDEN.glob("*.structured.out")]:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name

@@ -137,9 +137,8 @@ def _read(path: Path) -> str:
 def base_inputs() -> list[tuple[str, str]]:
     """(label, text) of every input before mutation."""
     sys.dont_write_bytecode = True  # nothing is written under bench/ or tests/
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
-    from corpus import build_corpus, build_multi_corpus
-    from run import WORKLOADS
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from corpus import benchmark_texts, build_corpus, build_multi_corpus
 
     from normlens import emit_schema
 
@@ -147,11 +146,8 @@ def base_inputs() -> list[tuple[str, str]]:
     inputs += [(f"golden/{p.name}", _read(p)) for p in sorted(ROOT.glob("tests/golden/*.nls"))]
     inputs += [(f"corpus {i}", emit_schema(s)) for i, (s, _) in enumerate(build_corpus(200))]
     inputs += [(f"multi {i}", emit_schema(s)) for i, s in enumerate(build_multi_corpus(100))]
-    inputs += [
-        (f"{name} seed {seed}", build(seed).text)
-        for name, (build, _metrics) in WORKLOADS.items()
-        for seed in SEEDS
-    ]
+    texts = {seed: benchmark_texts(seed) for seed in SEEDS}
+    inputs += [(f"{name} seed {s}", texts[s][name]) for name in texts[SEEDS[0]] for s in SEEDS]
     return inputs
 
 
