@@ -30,6 +30,7 @@ import re
 from _json import encode_basestring_ascii as _quote  # the C encoder json.encoder re-exports
 
 from .model import (
+    _IDENT,
     IDENTIFIER,
     AttributeSpec,
     ClassificationMode,
@@ -50,7 +51,6 @@ if TYPE_CHECKING:  # parsing needs none of these; emit_report imports what it re
     from .completeness import Ratio, RelationNC, SchemaNC
     from .transform import TransformStep, TransformTrace
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(rf"{_IDENT}|->|[(),:*]|\S")
 _IDENT_RE = re.compile(_IDENT)
 _ATTRIBUTE_RE = re.compile(rf"({_IDENT})(?:\s*(\*))?")
@@ -293,7 +293,7 @@ def _declaration_lines(schema: Schema) -> list[str]:
 
 
 def _fd_line(fd: FunctionalDependency) -> str:
-    return f"fd {fd.label}: {', '.join(fd.determinant)} -> {', '.join(fd.dependents)}"
+    return f"fd {fd}"
 
 
 def emit_schema(schema: Schema) -> str:

@@ -30,7 +30,8 @@ if TYPE_CHECKING:  # annotations only; completeness builds the scores
     from fractions import Fraction
     from typing import Any, ClassVar
 
-IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"  # the grammar's IDENT; dsl builds its patterns on it
+IDENTIFIER = re.compile(rf"{_IDENT}\Z")
 
 
 class NormalForm(IntEnum):
@@ -58,15 +59,14 @@ _NF_LABELS = {
 
 def truncated(value: Fraction) -> str:
     """Two-decimal truncation: 0.625 -> '0.62', 5/7 -> '0.71', -1/3 -> '-0.34'. Floor, not round."""
-    hundredths = value.numerator * 100 // value.denominator
-    whole, cents = divmod(abs(hundredths), 100)
-    return f"{'-' if hundredths < 0 else ''}{whole}.{cents:02d}"
+    return _truncated(value.numerator, value.denominator)
 
 
 def _truncated(numerator: int, denominator: int) -> str:
-    # ``truncated`` of numerator / denominator, for the scores kept as integer ratios.
+    # The floor of 100 * numerator / denominator, signed: scores are kept as integer ratios.
     hundredths = numerator * 100 // denominator
-    return f"{hundredths // 100}.{hundredths % 100:02d}"
+    whole, cents = divmod(abs(hundredths), 100)
+    return f"{'-' if hundredths < 0 else ''}{whole}.{cents:02d}"
 
 
 class ClassificationMode(Enum):

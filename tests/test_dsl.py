@@ -32,8 +32,9 @@ from normlens import (
 )
 from normlens import dsl
 from normlens.cli import _check_report, main
+from normlens.model import _IDENT, IDENTIFIER
 
-from conftest import CASE_STUDY_PATH, fixture_copies
+from conftest import CASE_STUDY_PATH, REPO_ROOT, fixture_copies
 from corpus import benchmark_texts, build_corpus, build_multi_corpus, fd
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -411,6 +412,19 @@ def test_lists_read_unshared_parse_as_shared_ones(text, rng):
 _BENCHMARK = benchmark_texts(1)
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    # Asserts on the first differing line only: pytest's diff of two megabyte texts,
+    # which it builds under -v too, takes minutes.
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    at = next(
+        (n for n, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+        min(len(got_lines), len(want_lines)),
+    )
+    assert got_lines[at : at + 1] == want_lines[at : at + 1], f"first difference on line {at + 1}"
+
+
 @pytest.mark.parametrize("name", sorted(_BENCHMARK))
 def test_the_benchmark_texts_read_unshared_give_the_same_output(name):
     # A space after every comma, then the line number's binary digits, lowest first, as
@@ -420,8 +434,10 @@ def test_the_benchmark_texts_read_unshared_give_the_same_output(name):
         for number, line in enumerate(_BENCHMARK[name].split("\n"), 1)
     )
     for command in ("check", "analyze"):
-        plain = _structured(command, ClassificationMode.PRIMARY, _BENCHMARK[name])
-        assert _structured(command, ClassificationMode.PRIMARY, spaced) == plain
+        code, out = _structured(command, ClassificationMode.PRIMARY, _BENCHMARK[name])
+        spaced_code, spaced_out = _structured(command, ClassificationMode.PRIMARY, spaced)
+        assert spaced_code == code
+        _assert_same_text(spaced_out, out)
 
 
 # str.splitlines() also ends a line at these; grep -n and the DSL do not.
@@ -444,6 +460,15 @@ def test_a_leading_byte_order_mark_is_not_schema_text():
     result = parse_schema("\ufeff" + text)
     assert result.ok
     assert result == parse_schema(text)
+
+
+def test_the_documented_identifier_rule_is_the_one_the_code_uses():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    for text in (readme, dsl.__doc__):
+        (rule,) = re.findall(r"^ *IDENT +:= (\S+) *$", text, re.MULTILINE)
+        assert rule == _IDENT
+    assert IDENTIFIER.pattern == _IDENT + r"\Z"
+    assert dsl._IDENT is _IDENT
 
 
 def test_source_document_provenance_in_rendering():
@@ -573,7 +598,8 @@ def test_the_encoder_equals_json_dumps(text, mode, bad):
 )
 def test_structured_output_on_the_benchmark_texts_equals_json_dumps(name, command, mode):
     code, out = _structured(command, mode, _BENCHMARK[name])
-    assert (code, out) == (0, json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n")
+    assert code == 0
+    _assert_same_text(out, json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n")
 
 
 class _Text(str):

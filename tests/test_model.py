@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import pickle
 import random
 import re
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import normlens.model
 from normlens import (
@@ -38,6 +42,7 @@ from normlens import (
     schema_nc,
     validate_schema,
 )
+from normlens.model import _truncated, truncated
 
 from conftest import CASE_STUDY_PATH
 from corpus import build_corpus, fd
@@ -48,6 +53,17 @@ def test_normal_form_levels_and_labels():
     assert NormalForm.UNF < NormalForm.FIRST < NormalForm.BCNF
     assert NormalForm.FIRST.label == "1NF"
     assert NormalForm.BCNF.label == "BCNF"
+
+
+@given(st.integers(), st.integers(min_value=1))
+@example(-1, 3)  # "-0.34": the floor of -33.3 hundredths, not -1 plus 0.66
+def test_both_truncations_floor_hundredths_with_a_sign(numerator, denominator):
+    display = _truncated(numerator, denominator)
+    assert display == truncated(Fraction(numerator, denominator))
+    assert re.fullmatch(r"-?(0|[1-9][0-9]*)\.[0-9]{2}", display)
+    hundredths = math.floor(Fraction(100 * numerator, denominator))
+    assert Fraction(display) == Fraction(hundredths, 100)
+    assert display.startswith("-") == (hundredths < 0)
 
 
 def test_attribute_spec_defaults_atomic():
