@@ -15,11 +15,13 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .dsl import _BOOL, _TOP, ParseResult, _array, _names, _quote, _write_trace, emit_report, parse_schema
+from .dsl import ParseResult, emit_report, parse_schema
 from .errors import CapacityError, DecompositionError
 from .fd import DEFAULT_KEY_CAP, candidate_keys
-# normalize_fds is unused here, but bench/tests checks that the tracer patches it here.
-from .model import ClassificationMode, Schema, Severity, normalize_fds  # noqa: F401
+from .model import (
+    _BOOL, _TOP, ClassificationMode, Schema, Severity, _array, _names, _quote,
+    normalize_fds,  # noqa: F401  unused here, but bench/tests checks that the tracer patches it here
+)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -259,7 +261,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
             out = emit_report(schema_nc(result.schema, mode, key_cap=args.key_cap), args.format)
         elif args.command == "normalize":
-            from .transform import normalize_to_bcnf
+            from .transform import _write_trace, normalize_to_bcnf
 
             trace = normalize_to_bcnf(result.schema, mode, key_cap=args.key_cap)
             # A structured trace grows with the square of its steps: it is

@@ -16,6 +16,12 @@ one scored relation with several. All arithmetic is exact: each score is kept
 as its reduced integer ratio, and its public ``Fraction`` is built on first
 read, so scoring and rendering load no ``fractions``. The only place
 precision is lost is the two-decimal display truncation.
+
+A score renders here, as text (schema totals as equations, e.g.
+"2.71 + 4 = 6.71") or as stable JSON in which every exact rational appears as
+``{"num": ..., "den": ..., "display": ...}``; ``dsl.emit_report`` is the
+public entry. Of the commands, only ``analyze`` and ``normalize`` compile
+these renderers.
 """
 
 from __future__ import annotations
@@ -27,15 +33,9 @@ from .classify import FDPartition, classify_partition, partition_preventing
 from .errors import InvalidSchemaError
 from .fd import DEFAULT_KEY_CAP
 from .model import (
-    ClassificationMode,
-    FunctionalDependency,
-    NormalForm,
-    RelationSchema,
-    Schema,
-    _Record,
-    _truncated,
+    ClassificationMode, FunctionalDependency, NormalForm, RelationSchema, Schema, _Record,
+    _array, _names, _quote, _shared, _truncated, validate_schema,
     truncated,  # noqa: F401  the README documents normlens.completeness.truncated
-    validate_schema,
 )
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -184,3 +184,85 @@ def schema_nc(
     ))
     vars(nc)["_trusted"] = True
     return nc
+
+
+# --- rendering (model's JSON primitives; dsl.emit_report is the entry) ------
+
+def _rational(value: Ratio, pad: str) -> str:
+    p1 = pad + "  "  # the display is digits and a point: nothing to escape
+    num, den = value
+    return (
+        f'{{{p1}"den": {den},{p1}"display": "{_truncated(num, den)}",'
+        f'{p1}"num": {num}{pad}}}'
+    )
+
+
+def _relation_nc(rnc: RelationNC, pad: str, cache: object) -> str:
+    p1 = pad + "  "
+    p2 = p1 + "  "
+    p3 = p2 + "  "
+    part, form = rnc.partition, rnc.normal_form
+    partition = (
+        f'{{{p2}"completeness_attributes": {_names(sorted(part.completeness_attributes), p2)},'
+        f'{p2}"counts": {{{p3}"completeness": {part.completeness_count},'
+        f'{p3}"preventing": {part.preventing_count},{p3}"total": {part.total_attributes}{p2}}},'
+        f'{p2}"non_preventing": {_names([fd.label for fd in part.non_preventing], p2)},'
+        f'{p2}"preventing": {_names([fd.label for fd in part.preventing], p2)},'
+        f'{p2}"preventing_attributes": {_names(sorted(part.preventing_attributes), p2)},'
+        f'{p2}"relation": {_quote(part.relation_name)}{p1}}}'
+    )
+    return (
+        f'{{{p1}"membership": {_rational(rnc._membership, p1)},'
+        f'{p1}"name": {_quote(rnc.relation_name)},{p1}"nc": {_rational(rnc._nc, p1)},'
+        f'{p1}"normal_form": {{{p2}"label": {_quote(form.label)},'
+        f'{p2}"level": {form.value}{p1}}},{p1}"partition": {partition}{pad}}}'
+    )
+
+
+def _schema_nc(nc: SchemaNC, pad: str, cache: dict, kind: str = "") -> str:
+    p1 = pad + "  "
+    relations = [_shared(cache, _relation_nc, rnc, p1 + "  ") for rnc in nc.per_relation]
+    return (
+        f'{{{kind}{p1}"mode": {_quote(nc.mode.value)},'
+        f'{p1}"relations": {_array(relations, p1)},{p1}"schema": {_quote(nc.schema.name)},'
+        f'{p1}"total": {_rational(nc._total, p1)}{pad}}}'
+    )
+
+
+def _labels(fds: tuple[FunctionalDependency, ...]) -> str:
+    return ", ".join(fd.label for fd in fds) or "(none)"
+
+
+def _term(value: Ratio) -> str:
+    return str(value[0]) if value[1] == 1 else _truncated(*value)
+
+
+def _exact(value: Ratio) -> str:
+    # str(Fraction(*value)): the numerator alone when the denominator is 1.
+    return str(value[0]) if value[1] == 1 else f"{value[0]}/{value[1]}"
+
+
+def _equation(nc: SchemaNC) -> str:
+    if len(nc.per_relation) < 2:
+        return nc.total_display
+    terms = " + ".join(_term(r._nc) for r in nc.per_relation)
+    return f"{terms} = {nc.total_display}"
+
+
+def _text_schema_nc(nc: SchemaNC) -> list[str]:
+    suffix = " [strict mode]" if nc.mode is ClassificationMode.STRICT else ""
+    lines = [f"schema {nc.schema.name}{suffix}"]
+    for rnc in nc.per_relation:
+        part = rnc.partition
+        lines += [
+            "",
+            f"relation {rnc.relation_name}: {rnc.normal_form.label} (N={rnc.normal_form.value})",
+            f"  preventing FDs ({len(part.preventing)}): {_labels(part.preventing)}",
+            f"  non-preventing FDs ({len(part.non_preventing)}): {_labels(part.non_preventing)}",
+            f"  attributes: completeness {part.completeness_count},"
+            f" preventing {part.preventing_count}, total {part.total_attributes}",
+            f"  membership x = {_truncated(*rnc._membership)} (exact {_exact(rnc._membership)})",
+            f"  NC = {rnc.nc_display} (exact {_exact(rnc._nc)})",
+        ]
+    lines += ["", _equation(nc)]
+    return lines

@@ -1,4 +1,4 @@
-"""Line-oriented schema description language and report rendering.
+"""Line-oriented schema description language and the report entry point.
 
 Grammar ('#' starts a comment, blank lines are skipped):
 
@@ -19,37 +19,32 @@ line and column. Semantic rules are delegated to ``validate_schema``; its
 findings come back as diagnostics anchored to the declaration that caused
 them.
 
-Reports render as text (schema totals as equations, e.g. "2.71 + 4 = 6.71")
-or as stable JSON, written by each record straight from its fields, in which
-every exact rational appears as ``{"num": ..., "den": ..., "display": ...}``.
+``emit_report`` renders a score or a trace as text or as stable JSON. The
+renderers live beside the records they render, in ``completeness`` and
+``transform``, and it imports them when it is called: a command that parses
+only, or lists keys, compiles none of them.
 """
 
 from __future__ import annotations
 
 import re
-from _json import encode_basestring_ascii as _quote  # the C encoder json.encoder re-exports
 
 from .model import (
     _IDENT,
     IDENTIFIER,
     AttributeSpec,
-    ClassificationMode,
     FunctionalDependency,
     RelationSchema,
     Schema,
     Severity,
     _Record,
-    _truncated,
     validate_schema,
 )
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
-if TYPE_CHECKING:  # parsing needs none of these; emit_report imports what it renders
-    from collections.abc import Callable, Iterable
-    from typing import Any
-
-    from .completeness import Ratio, RelationNC, SchemaNC
-    from .transform import TransformStep, TransformTrace
+if TYPE_CHECKING:  # parsing needs neither; emit_report imports the one it renders
+    from .completeness import SchemaNC
+    from .transform import TransformTrace
 
 _TOKEN_RE = re.compile(rf"{_IDENT}|->|[(),:*]|\S")
 _IDENT_RE = re.compile(_IDENT)
@@ -301,226 +296,6 @@ def emit_schema(schema: Schema) -> str:
     return "\n".join([*_declaration_lines(schema), *map(_fd_line, schema.fds)]) + "\n"
 
 
-# --- report rendering -------------------------------------------------------
-#
-# Each record renders its own JSON text in the layout of
-# ``json.dumps(tree, indent=2, sort_keys=True)``, with no tree in between. A
-# renderer takes the record, ``pad`` (a newline and the indent of the line the
-# record ends on) and the report's cache; its f-strings spell the keys in sorted
-# order, each on its own line at ``pad + "  "``.
-
-_BOOL = ("false", "true")
-_TOP = "\n  "  # pad of a report's top-level values
-
-
-def _array(items: list[str], pad: str) -> str:
-    inner = pad + "  "
-    return f"[{inner}{(',' + inner).join(items)}{pad}]" if items else "[]"
-
-
-def _names(names: Iterable[str], pad: str) -> str:
-    return _array(list(map(_quote, names)), pad)
-
-
-def _shared(cache: dict, render: Callable[..., Any], obj: Any, pad: str) -> Any:
-    # render(obj, pad, cache), run once per object and pad; the entry keeps obj,
-    # so no other object takes its id while the cache lives.
-    entry = cache.get((id(obj), pad))
-    if entry is None:
-        entry = cache[id(obj), pad] = (obj, render(obj, pad, cache))
-    return entry[1]
-
-
-def _rational(value: Ratio, pad: str) -> str:
-    p1 = pad + "  "  # the display is digits and a point: nothing to escape
-    num, den = value
-    return (
-        f'{{{p1}"den": {den},{p1}"display": "{_truncated(num, den)}",'
-        f'{p1}"num": {num}{pad}}}'
-    )
-
-
-def _relation(rel: RelationSchema, pad: str, cache: object) -> str:
-    p1 = pad + "  "
-    p2 = p1 + "  "
-    p3 = p2 + "  "
-    specs = [
-        f'{{{p3}"atomic": {_BOOL[bool(spec.atomic)]},{p3}"name": {_quote(spec.name)}{p2}}}'
-        for spec in rel.attributes
-    ]
-    return (
-        f'{{{p1}"attributes": {_array(specs, p1)},{p1}"key": {_names(rel.primary_key, p1)},'
-        f'{p1}"name": {_quote(rel.name)}{pad}}}'
-    )
-
-
-def _fds(fds: tuple[FunctionalDependency, ...], pad: str, cache: object) -> str:
-    p1 = pad + "  "
-    p2 = p1 + "  "
-    items = [
-        f'{{{p2}"dependents": {_names(fd.dependents, p2)},'
-        f'{p2}"determinant": {_names(fd.determinant, p2)},'
-        f'{p2}"label": {_quote(fd.label)}{p1}}}'
-        for fd in fds
-    ]
-    return _array(items, pad)
-
-
-def _schema(schema: Schema, pad: str, cache: dict) -> str:
-    p1 = pad + "  "
-    fds = _shared(cache, _fds, schema.fds, p1)
-    relations = [_shared(cache, _relation, rel, p1 + "  ") for rel in schema.relations]
-    return (
-        f'{{{p1}"fds": {fds},{p1}"name": {_quote(schema.name)},'
-        f'{p1}"relations": {_array(relations, p1)}{pad}}}'
-    )
-
-
-def _relation_nc(rnc: RelationNC, pad: str, cache: object) -> str:
-    p1 = pad + "  "
-    p2 = p1 + "  "
-    p3 = p2 + "  "
-    part, form = rnc.partition, rnc.normal_form
-    partition = (
-        f'{{{p2}"completeness_attributes": {_names(sorted(part.completeness_attributes), p2)},'
-        f'{p2}"counts": {{{p3}"completeness": {part.completeness_count},'
-        f'{p3}"preventing": {part.preventing_count},{p3}"total": {part.total_attributes}{p2}}},'
-        f'{p2}"non_preventing": {_names([fd.label for fd in part.non_preventing], p2)},'
-        f'{p2}"preventing": {_names([fd.label for fd in part.preventing], p2)},'
-        f'{p2}"preventing_attributes": {_names(sorted(part.preventing_attributes), p2)},'
-        f'{p2}"relation": {_quote(part.relation_name)}{p1}}}'
-    )
-    return (
-        f'{{{p1}"membership": {_rational(rnc._membership, p1)},'
-        f'{p1}"name": {_quote(rnc.relation_name)},{p1}"nc": {_rational(rnc._nc, p1)},'
-        f'{p1}"normal_form": {{{p2}"label": {_quote(form.label)},'
-        f'{p2}"level": {form.value}{p1}}},{p1}"partition": {partition}{pad}}}'
-    )
-
-
-def _schema_nc(nc: SchemaNC, pad: str, cache: dict, kind: str = "") -> str:
-    p1 = pad + "  "
-    relations = [_shared(cache, _relation_nc, rnc, p1 + "  ") for rnc in nc.per_relation]
-    return (
-        f'{{{kind}{p1}"mode": {_quote(nc.mode.value)},'
-        f'{p1}"relations": {_array(relations, p1)},{p1}"schema": {_quote(nc.schema.name)},'
-        f'{p1}"total": {_rational(nc._total, p1)}{pad}}}'
-    )
-
-
-def _step(step: TransformStep, pad: str, cache: dict) -> str:
-    p1 = pad + "  "
-    return (
-        f'{{{p1}"moved_fds": {_names(step.moved_fd_labels, p1)},'
-        f'{p1}"nc_after": {_shared(cache, _schema_nc, step.nc_after, p1)},'
-        f'{p1}"nc_before": {_shared(cache, _schema_nc, step.nc_before, p1)},'
-        f'{p1}"new_relation": {_shared(cache, _relation, step.new_relation, p1)},'
-        f'{p1}"new_relation_bcnf": {_BOOL[step.new_relation_bcnf]},'
-        f'{p1}"reduced_relation": {_shared(cache, _relation, step.reduced_relation, p1)},'
-        f'{p1}"schema_after": {_shared(cache, _schema, step.nc_after.schema, p1)},'
-        f'{p1}"source": {_quote(step.source_name)}{pad}}}'
-    )
-
-
-def _write_trace(trace: TransformTrace, write: Callable[[str], object]) -> None:
-    # Written step by step: only the text of records that later steps may share is kept.
-    cache: dict[tuple[int, str], Any] = {}
-    first, last = trace.initial_nc, trace.final_nc
-    write(
-        f'{{\n  "final": {_shared(cache, _schema, last.schema, _TOP)},'
-        f'\n  "final_nc": {_shared(cache, _schema_nc, last, _TOP)},'
-        f'\n  "initial": {_shared(cache, _schema, first.schema, _TOP)},'
-        f'\n  "initial_nc": {_shared(cache, _schema_nc, first, _TOP)},'
-        f'\n  "kind": "transform_trace",\n  "mode": {_quote(first.mode.value)},'
-        f'\n  "schema": {_quote(first.schema.name)},\n  "steps": '
-    )
-    pad = _TOP + "  "
-    separator = "[" + pad
-    for step in trace.steps:
-        write(separator + _step(step, pad, cache))
-        separator = "," + pad
-        # The next step's nc_before is this nc_after; nothing else reuses either text.
-        cache.pop((id(step.nc_before), pad + "  "), None)
-        cache.pop((id(step.nc_after.schema), pad + "  "), None)
-    unpreserved = _names(trace.unpreserved_fd_labels, _TOP)
-    write(f'{_TOP + "]" if trace.steps else "[]"},\n  "unpreserved_fds": {unpreserved}\n}}\n')
-
-
-def _labels(fds: tuple[FunctionalDependency, ...]) -> str:
-    return ", ".join(fd.label for fd in fds) or "(none)"
-
-
-def _term(value: Ratio) -> str:
-    return str(value[0]) if value[1] == 1 else _truncated(*value)
-
-
-def _exact(value: Ratio) -> str:
-    # str(Fraction(*value)): the numerator alone when the denominator is 1.
-    return str(value[0]) if value[1] == 1 else f"{value[0]}/{value[1]}"
-
-
-def _equation(nc: SchemaNC) -> str:
-    if len(nc.per_relation) < 2:
-        return nc.total_display
-    terms = " + ".join(_term(r._nc) for r in nc.per_relation)
-    return f"{terms} = {nc.total_display}"
-
-
-def _text_schema_nc(nc: SchemaNC) -> list[str]:
-    suffix = " [strict mode]" if nc.mode is ClassificationMode.STRICT else ""
-    lines = [f"schema {nc.schema.name}{suffix}"]
-    for rnc in nc.per_relation:
-        part = rnc.partition
-        lines += [
-            "",
-            f"relation {rnc.relation_name}: {rnc.normal_form.label} (N={rnc.normal_form.value})",
-            f"  preventing FDs ({len(part.preventing)}): {_labels(part.preventing)}",
-            f"  non-preventing FDs ({len(part.non_preventing)}): {_labels(part.non_preventing)}",
-            f"  attributes: completeness {part.completeness_count},"
-            f" preventing {part.preventing_count}, total {part.total_attributes}",
-            f"  membership x = {_truncated(*rnc._membership)} (exact {_exact(rnc._membership)})",
-            f"  NC = {rnc.nc_display} (exact {_exact(rnc._nc)})",
-        ]
-    lines += ["", _equation(nc)]
-    return lines
-
-
-def _snapshot_fd_lines(fds: tuple[FunctionalDependency, ...], indent: str, _: object) -> list[str]:
-    return [f"{indent}{_fd_line(fd)}" for fd in fds]
-
-
-def _text_trace(trace: TransformTrace, dsl_snapshots: bool) -> list[str]:
-    # Every step's schema shares one FD tuple: its snapshot lines are rendered once.
-    cache: dict[tuple[int, str], Any] = {}
-    suffix = " [strict mode]" if trace.initial_nc.mode is ClassificationMode.STRICT else ""
-    lines = [
-        f"schema {trace.initial_nc.schema.name}: normalization trace{suffix}",
-        f"initial NC: {_equation(trace.initial_nc)}",
-    ]
-    for number, step in enumerate(trace.steps, 1):
-        determinant = ", ".join(step.new_relation.primary_key)
-        lines += [
-            "",
-            f"step {number}: {step.source_name}, moved"
-            f" {', '.join(step.moved_fd_labels)} (determinant {determinant})",
-            f"  new relation:     {step.new_relation.heading()}",
-            f"  reduced relation: {step.reduced_relation.heading()}",
-            f"  NC after: {_equation(step.nc_after)}",
-        ]
-        if not step.new_relation_bcnf:
-            lines.append("  note: new relation is not yet in BCNF and will be split again")
-        if dsl_snapshots:
-            lines.append(f"  schema after step {number}:")
-            lines += [f"    {text}" for text in _declaration_lines(step.nc_after.schema)]
-            lines += _shared(cache, _snapshot_fd_lines, step.nc_after.schema.fds, "    ")
-    lines += [
-        "",
-        f"final NC: {_equation(trace.final_nc)}",
-        f"unpreserved FDs: {', '.join(trace.unpreserved_fd_labels) or '(none)'}",
-    ]
-    return lines
-
-
 def emit_report(
     report: SchemaNC | TransformTrace,
     format: str = "text",
@@ -534,19 +309,20 @@ def emit_report(
     output is what ``json.dumps(tree, indent=2, sort_keys=True)`` plus a newline
     gives for the report's tree, but no tree is built: each record writes its
     own JSON text, and a record the report shares, such as a score carried over
-    from step to step, is rendered once per indent. The CLI streams a structured
-    trace to stdout step by step with the same renderers. Another format or
+    from step to step, is rendered once per indent. The renderers are those of
+    ``completeness`` and ``transform``; the CLI streams a structured trace to
+    stdout step by step with ``transform._write_trace``. Another format or
     report type is a programmer error (ValueError, TypeError).
     """
     if format not in ("text", "structured"):
         raise ValueError(f"unknown report format {format!r}")
-    from .completeness import SchemaNC
+    from .completeness import SchemaNC, _schema_nc, _text_schema_nc
 
     if isinstance(report, SchemaNC):
         if format == "text":
             return "\n".join(_text_schema_nc(report)) + "\n"
         return _schema_nc(report, "\n", {}, kind='\n  "kind": "schema_nc",') + "\n"
-    from .transform import TransformTrace
+    from .transform import TransformTrace, _text_trace, _write_trace
 
     if not isinstance(report, TransformTrace):
         raise TypeError(f"cannot render {type(report).__name__} as a report")

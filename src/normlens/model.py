@@ -11,7 +11,9 @@ left out of the fields: ``FunctionalDependency`` and ``RelationSchema``
 here, and ``FDPartition`` and ``RelationNC`` in the scoring modules, have
 constructors that set fields and derived values in one step.
 ``ClassificationMode`` and ``truncated`` live here, so that parsing and
-rendering load no scoring module.
+rendering load no scoring module, and so do the JSON primitives that every
+structured report shares: ``cli``, ``completeness`` and ``transform`` render
+their own records with them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+from _json import encode_basestring_ascii as _quote  # the C encoder json.encoder re-exports
 from enum import Enum, IntEnum
 from functools import cached_property
 
@@ -67,6 +70,36 @@ def _truncated(numerator: int, denominator: int) -> str:
     hundredths = numerator * 100 // denominator
     whole, cents = divmod(abs(hundredths), 100)
     return f"{'-' if hundredths < 0 else ''}{whole}.{cents:02d}"
+
+
+# --- JSON primitives of the structured reports -------------------------------
+#
+# Each record renders its own JSON text in the layout of
+# ``json.dumps(tree, indent=2, sort_keys=True)``, with no tree in between. A
+# renderer takes the record, ``pad`` (a newline and the indent of the line the
+# record ends on) and the report's cache; its f-strings spell the keys in sorted
+# order, each on its own line at ``pad + "  "``.
+
+_BOOL = ("false", "true")
+_TOP = "\n  "  # pad of a report's top-level values
+
+
+def _array(items: list[str], pad: str) -> str:
+    inner = pad + "  "
+    return f"[{inner}{(',' + inner).join(items)}{pad}]" if items else "[]"
+
+
+def _names(names: Iterable[str], pad: str) -> str:
+    return _array(list(map(_quote, names)), pad)
+
+
+def _shared(cache: dict, render: Callable[..., Any], obj: Any, pad: str) -> Any:
+    # render(obj, pad, cache), run once per object and pad; the entry keeps obj,
+    # so no other object takes its id while the cache lives.
+    entry = cache.get((id(obj), pad))
+    if entry is None:
+        entry = cache[id(obj), pad] = (obj, render(obj, pad, cache))
+    return entry[1]
 
 
 class ClassificationMode(Enum):

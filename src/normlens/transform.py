@@ -8,22 +8,31 @@ moved dependents. Both halves share exactly the determinant, which
 functionally determines the whole new relation, so every split is lossless
 under the binary join criterion. Dependency preservation is NOT guaranteed;
 the trace lists dependencies that no longer project into any one relation.
+
+A trace renders here, as text or as stable JSON that embeds every schema and
+score; ``dsl.emit_report`` is the public entry, and the CLI streams a
+structured trace with ``_write_trace``. Of the commands, only ``normalize``
+compiles these renderers.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .completeness import SchemaNC, _sum, relation_nc, schema_nc
+from .completeness import SchemaNC, _equation, _schema_nc, _sum, relation_nc, schema_nc
 from .errors import AlreadyBCNFError, DecompositionError, UnknownRelationError
 from .fd import DEFAULT_KEY_CAP
 from .model import (
-    IDENTIFIER, ClassificationMode, NormalForm, RelationSchema, Schema, _Record, normalize_fds
+    _BOOL, _TOP, IDENTIFIER, ClassificationMode, NormalForm, RelationSchema, Schema, _Record,
+    _array, _names, _quote, _shared, normalize_fds,
 )
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
-    from collections.abc import Mapping
+    from collections.abc import Callable, Mapping
+    from typing import Any
+
+    from .model import FunctionalDependency
 
 
 class TransformStep(_Record):
@@ -200,3 +209,119 @@ def normalize_to_bcnf(
             return TransformTrace(tuple(steps), initial_nc)
         steps.append(decompose_step(nc, target.relation_name, rename=rename, key_cap=key_cap))
         nc = steps[-1].nc_after
+
+
+# --- rendering (model's JSON primitives; dsl.emit_report is the entry) ------
+
+def _relation(rel: RelationSchema, pad: str, cache: object) -> str:
+    p1 = pad + "  "
+    p2 = p1 + "  "
+    p3 = p2 + "  "
+    specs = [
+        f'{{{p3}"atomic": {_BOOL[bool(spec.atomic)]},{p3}"name": {_quote(spec.name)}{p2}}}'
+        for spec in rel.attributes
+    ]
+    return (
+        f'{{{p1}"attributes": {_array(specs, p1)},{p1}"key": {_names(rel.primary_key, p1)},'
+        f'{p1}"name": {_quote(rel.name)}{pad}}}'
+    )
+
+
+def _fds(fds: tuple[FunctionalDependency, ...], pad: str, cache: object) -> str:
+    p1 = pad + "  "
+    p2 = p1 + "  "
+    items = [
+        f'{{{p2}"dependents": {_names(fd.dependents, p2)},'
+        f'{p2}"determinant": {_names(fd.determinant, p2)},'
+        f'{p2}"label": {_quote(fd.label)}{p1}}}'
+        for fd in fds
+    ]
+    return _array(items, pad)
+
+
+def _schema(schema: Schema, pad: str, cache: dict) -> str:
+    p1 = pad + "  "
+    fds = _shared(cache, _fds, schema.fds, p1)
+    relations = [_shared(cache, _relation, rel, p1 + "  ") for rel in schema.relations]
+    return (
+        f'{{{p1}"fds": {fds},{p1}"name": {_quote(schema.name)},'
+        f'{p1}"relations": {_array(relations, p1)}{pad}}}'
+    )
+
+
+def _step(step: TransformStep, pad: str, cache: dict) -> str:
+    p1 = pad + "  "
+    return (
+        f'{{{p1}"moved_fds": {_names(step.moved_fd_labels, p1)},'
+        f'{p1}"nc_after": {_shared(cache, _schema_nc, step.nc_after, p1)},'
+        f'{p1}"nc_before": {_shared(cache, _schema_nc, step.nc_before, p1)},'
+        f'{p1}"new_relation": {_shared(cache, _relation, step.new_relation, p1)},'
+        f'{p1}"new_relation_bcnf": {_BOOL[step.new_relation_bcnf]},'
+        f'{p1}"reduced_relation": {_shared(cache, _relation, step.reduced_relation, p1)},'
+        f'{p1}"schema_after": {_shared(cache, _schema, step.nc_after.schema, p1)},'
+        f'{p1}"source": {_quote(step.source_name)}{pad}}}'
+    )
+
+
+def _write_trace(trace: TransformTrace, write: Callable[[str], object]) -> None:
+    # Written step by step: only the text of records that later steps may share is kept.
+    cache: dict[tuple[int, str], Any] = {}
+    first, last = trace.initial_nc, trace.final_nc
+    write(
+        f'{{\n  "final": {_shared(cache, _schema, last.schema, _TOP)},'
+        f'\n  "final_nc": {_shared(cache, _schema_nc, last, _TOP)},'
+        f'\n  "initial": {_shared(cache, _schema, first.schema, _TOP)},'
+        f'\n  "initial_nc": {_shared(cache, _schema_nc, first, _TOP)},'
+        f'\n  "kind": "transform_trace",\n  "mode": {_quote(first.mode.value)},'
+        f'\n  "schema": {_quote(first.schema.name)},\n  "steps": '
+    )
+    pad = _TOP + "  "
+    separator = "[" + pad
+    for step in trace.steps:
+        write(separator + _step(step, pad, cache))
+        separator = "," + pad
+        # The next step's nc_before is this nc_after; nothing else reuses either text.
+        cache.pop((id(step.nc_before), pad + "  "), None)
+        cache.pop((id(step.nc_after.schema), pad + "  "), None)
+    unpreserved = _names(trace.unpreserved_fd_labels, _TOP)
+    write(f'{_TOP + "]" if trace.steps else "[]"},\n  "unpreserved_fds": {unpreserved}\n}}\n')
+
+
+def _snapshot_fd_lines(fds: tuple[FunctionalDependency, ...], indent: str, _: object) -> list[str]:
+    from .dsl import _fd_line  # the DSL's own line; only dsl.emit_report gets here
+
+    return [f"{indent}{_fd_line(fd)}" for fd in fds]
+
+
+def _text_trace(trace: TransformTrace, dsl_snapshots: bool) -> list[str]:
+    from .dsl import _declaration_lines  # the DSL's own lines; only dsl.emit_report gets here
+
+    # Every step's schema shares one FD tuple: its snapshot lines are rendered once.
+    cache: dict[tuple[int, str], Any] = {}
+    suffix = " [strict mode]" if trace.initial_nc.mode is ClassificationMode.STRICT else ""
+    lines = [
+        f"schema {trace.initial_nc.schema.name}: normalization trace{suffix}",
+        f"initial NC: {_equation(trace.initial_nc)}",
+    ]
+    for number, step in enumerate(trace.steps, 1):
+        determinant = ", ".join(step.new_relation.primary_key)
+        lines += [
+            "",
+            f"step {number}: {step.source_name}, moved"
+            f" {', '.join(step.moved_fd_labels)} (determinant {determinant})",
+            f"  new relation:     {step.new_relation.heading()}",
+            f"  reduced relation: {step.reduced_relation.heading()}",
+            f"  NC after: {_equation(step.nc_after)}",
+        ]
+        if not step.new_relation_bcnf:
+            lines.append("  note: new relation is not yet in BCNF and will be split again")
+        if dsl_snapshots:
+            lines.append(f"  schema after step {number}:")
+            lines += [f"    {text}" for text in _declaration_lines(step.nc_after.schema)]
+            lines += _shared(cache, _snapshot_fd_lines, step.nc_after.schema.fds, "    ")
+    lines += [
+        "",
+        f"final NC: {_equation(trace.final_nc)}",
+        f"unpreserved FDs: {', '.join(trace.unpreserved_fd_labels) or '(none)'}",
+    ]
+    return lines

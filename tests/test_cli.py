@@ -556,6 +556,68 @@ def test_importing_the_package_loads_no_submodule():
     assert loaded & _GENERATED_CODE == set()
 
 
+# Each library layer and the normlens modules its import loads: the scoring layers
+# load no parser, and the parser loads no scoring or trace layer.
+_LIBRARY_IMPORTS = {
+    "classify": {"classify", "errors", "fd", "model"},
+    "completeness": {"classify", "completeness", "errors", "fd", "model"},
+    "transform": {"classify", "completeness", "errors", "fd", "model", "transform"},
+    "dsl": {"dsl", "errors", "fd", "model"},
+}
+
+
+@pytest.mark.parametrize("layer, loads", _LIBRARY_IMPORTS.items())
+def test_importing_a_library_layer_loads_only_what_it_runs(layer, loads):
+    loaded = loaded_modules(f"import sys, normlens.{layer}; print(' '.join(sys.modules))")
+    assert {name for name in loaded if name.startswith("normlens.")} == {
+        f"normlens.{name}" for name in loads
+    }
+    assert loaded & (_JSON | _GENERATED_CODE | _PARSER_AND_TYPING | _FRACTIONS) == set()
+
+
+# Prints "module.name" for each function that a loaded normlens module defines.
+_DEFINED_BY_COMMAND = """
+import sys, types
+try:
+    {}
+except SystemExit:
+    pass
+print(" ".join(
+    f"{{name}}.{{attr}}"
+    for name, module in list(sys.modules.items()) if name.startswith("normlens")
+    for attr, value in vars(module).items()
+    if isinstance(value, types.FunctionType) and value.__module__ == name
+))
+"""
+_SCORE_RENDERERS = {
+    "_rational", "_relation_nc", "_schema_nc", "_text_schema_nc", "_equation", "_term",
+    "_exact", "_labels",
+}
+_TRACE_RENDERERS = {"_step", "_write_trace", "_text_trace"}
+_ALL_RENDERERS = _SCORE_RENDERERS | _TRACE_RENDERERS | {
+    "_relation", "_fds", "_schema", "_snapshot_fd_lines",
+}
+
+
+@pytest.mark.parametrize(
+    "command, compiled, absent",
+    [
+        ("check", set(), _ALL_RENDERERS),
+        ("keys", set(), _ALL_RENDERERS),
+        ("analyze", _SCORE_RENDERERS, _TRACE_RENDERERS),
+        ("normalize", _ALL_RENDERERS, set()),
+    ],
+)
+def test_each_command_compiles_only_the_renderers_it_can_run(command, compiled, absent):
+    # A renderer lives beside its record (completeness, transform), not in dsl or
+    # cli, so a command that cannot reach it never compiles it.
+    for entry in _ENTRIES:
+        defined = loaded_modules(_DEFINED_BY_COMMAND.format(entry), command, FIXTURE)
+        names = {item.rpartition(".")[2] for item in defined}
+        assert compiled <= names, entry
+        assert sorted(item for item in defined if item.rpartition(".")[2] in absent) == [], entry
+
+
 @pytest.mark.parametrize(
     "command, unused",
     [

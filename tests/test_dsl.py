@@ -30,7 +30,7 @@ from normlens import (
     partition_preventing,
     schema_nc,
 )
-from normlens import dsl
+from normlens import completeness, dsl, transform
 from normlens.cli import _check_report, main
 from normlens.model import _IDENT, IDENTIFIER
 
@@ -624,7 +624,7 @@ def test_the_encoder_reads_leaves_of_subclasses_and_bool_as_json_dumps_does(leaf
     number = leaf if isinstance(leaf, int) and not isinstance(leaf, bool) else 1
     rel = RelationSchema(name, [AttributeSpec(name, atomic)], [name])
     tree = {"attributes": [{"atomic": atomic, "name": name}], "key": [name], "name": name}
-    assert dsl._relation(rel, "\n", {}) == json.dumps(tree, indent=2, sort_keys=True)
+    assert transform._relation(rel, "\n", {}) == json.dumps(tree, indent=2, sort_keys=True)
     diagnostic = dsl.ParseDiagnostic(number, number, Severity.WARNING, name, name)
     result = dsl.ParseResult(None if leaf is None else Schema(name, [rel]), (diagnostic,))
     tree = {
@@ -642,13 +642,13 @@ def test_the_encoder_reads_leaves_of_subclasses_and_bool_as_json_dumps_does(leaf
 def test_a_structured_trace_builds_each_score_once(case_study, monkeypatch, mode):
     trace = normalize_to_bcnf(fixture_copies(case_study, 8), mode)
     calls = []
-    original = dsl._relation_nc
+    original = completeness._relation_nc
 
     def counting(rnc, pad, cache):
         calls.append((id(rnc), pad))
         return original(rnc, pad, cache)
 
-    monkeypatch.setattr(dsl, "_relation_nc", counting)
+    monkeypatch.setattr(completeness, "_relation_nc", counting)
     out = emit_report(trace, "structured")
     scores = [trace.initial_nc, trace.final_nc]
     steps = [nc for step in trace.steps for nc in (step.nc_before, step.nc_after)]

@@ -112,6 +112,23 @@ def test_unpreserved_fds_reported(case_study):
     )
 
 
+@pytest.mark.parametrize(
+    "fds, headings, total, unpreserved",
+    [
+        (("F1: b -> c", "F2: c -> d"), ["R(a, b, d)", "R_b(b, c)"], "8.00", ("F2",)),
+        (("F2: c -> d", "F1: b -> c"), ["R(a, b)", "R_c(c, d)", "R_b(b, c)"], "12.00", ()),
+    ],
+)
+def test_the_result_of_normalize_depends_on_fd_order(fds, headings, total, unpreserved):
+    # README's example: each step moves the first preventing FD in schema order, so
+    # moving F1 first drops c -> d from every relation, and moving F2 first keeps it.
+    text = "schema S\nrelation R(a, b, c, d) key(a)\n" + "".join(f"fd {line}\n" for line in fds)
+    trace = normalize_to_bcnf(parse_schema(text).schema)
+    assert [rel.heading() for rel in trace.final_nc.schema.relations] == headings
+    assert trace.final_nc.total_display == total
+    assert trace.unpreserved_fd_labels == unpreserved
+
+
 def test_unknown_relation_error(case_study):
     with pytest.raises(UnknownRelationError) as missing:
         decompose_step(schema_nc(case_study), "Nowhere")
