@@ -20,7 +20,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "classify": ("FDPartition", "partition_preventing"),
     "completeness": ("RelationNC", "SchemaNC", "fuzzy_membership", "relation_nc", "schema_nc"),
-    "dsl": ("ParseDiagnostic", "ParseResult", "emit_report", "emit_schema", "parse_schema"),
+    "dsl": (
+        "CandidateKeys", "ParseDiagnostic", "ParseResult", "emit_report", "emit_schema",
+        "parse_schema", "write_report",
+    ),
     "errors": (
         "AlreadyBCNFError",
         "CapacityError",

@@ -15,11 +15,11 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .dsl import ParseResult, emit_report, parse_schema
+from .dsl import CandidateKeys, parse_schema, write_report
 from .errors import CapacityError, DecompositionError
 from .fd import DEFAULT_KEY_CAP, candidate_keys
 from .model import (
-    _BOOL, _TOP, ClassificationMode, Schema, Severity, _array, _names, _quote,
+    ClassificationMode,
     normalize_fds,  # noqa: F401  unused here, but bench/tests checks that the tracer patches it here
 )
 
@@ -94,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Score relational schemas by normalization completeness"
         " and decompose them to BCNF.",
     )
+    parser.set_defaults(trace=False)  # every command's; only normalize takes --trace
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, summary in _COMMANDS.items():
         command = sub.add_parser(name, help=summary)
@@ -128,10 +129,8 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
     command = argv[0] if argv else None
     if command not in _COMMANDS:
         return None
-    args = {"command": command, "input": "-"}
+    args = {"command": command, "input": "-", "trace": False}
     args.update((dest, default) for dest, _test, default, _help in _OPTIONS.values())
-    if command == "normalize":
-        args["trace"] = False
     given = set()
     tokens = iter(argv[1:])
     for token in tokens:
@@ -185,56 +184,6 @@ def _read_input(target: str) -> str:
         raise OSError(f"not valid UTF-8 ({exc.reason} at offset {exc.start})") from exc
 
 
-_KEYS_PAD, _KEY_PAD = _TOP + "    ", _TOP + "      "  # a relation's key list, one key's names
-
-
-def _keys_report(schema: Schema, key_cap: int, format: str) -> str:
-    rows = [
-        (rel, candidate_keys(rel, schema.projected_fds(rel), cap=key_cap))
-        for rel in schema.relations
-    ]
-    if format == "structured":
-        relations = [
-            f'{{\n      "keys": {_array([_names(sorted(key), _KEY_PAD) for key in keys], _KEYS_PAD)},'
-            f'\n      "name": {_quote(rel.name)}\n    }}'
-            for rel, keys in rows
-        ]
-        return (
-            f'{{\n  "kind": "candidate_keys",\n  "relations": {_array(relations, _TOP)},'
-            f'\n  "schema": {_quote(schema.name)}\n}}\n'
-        )
-    lines = [f"schema {schema.name}"]
-    for rel, keys in rows:
-        lines.append("")
-        lines.append(f"relation {rel.name}: {len(keys)} candidate key(s)")
-        lines += [f"  ({', '.join(sorted(key))})" for key in keys]
-    return "\n".join(lines) + "\n"
-
-
-def _check_report(result: ParseResult, format: str) -> str:
-    if format == "structured":
-        diagnostics = [
-            f'{{\n      "code": {_quote(d.code)},\n      "column": {d.column:d},\n      "line": {d.line:d},'
-            f'\n      "message": {_quote(d.message)},\n      "severity": {_quote(d.severity.value)}\n    }}'
-            for d in result.diagnostics
-        ]
-        name = _quote(result.schema.name) if result.schema else "null"
-        return (
-            f'{{\n  "diagnostics": {_array(diagnostics, _TOP)},\n  "kind": "check",'
-            f'\n  "ok": {_BOOL[result.ok]},\n  "schema": {name}\n}}\n'
-        )
-    if result.ok and result.schema is not None:
-        schema = result.schema
-        warnings = sum(1 for d in result.diagnostics if d.severity is Severity.WARNING)
-        note = f", {warnings} warning(s)" if warnings else ""
-        return (
-            f"ok: {schema.name}: {len(schema.relations)} relation(s),"
-            f" {len(schema.fds)} fd(s){note}\n"
-        )
-    errors = sum(1 for d in result.diagnostics if d.severity is Severity.ERROR)
-    return f"invalid: {errors} error(s)\n"
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_args(argv) or build_parser().parse_args(argv)
@@ -253,23 +202,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     mode = ClassificationMode(args.mode)
     try:
         if args.command == "check":
-            out = _check_report(result, args.format)
+            report = result
         elif result.schema is None:
             return code
         elif args.command == "analyze":
             from .completeness import schema_nc  # each command loads only what it runs
 
-            out = emit_report(schema_nc(result.schema, mode, key_cap=args.key_cap), args.format)
+            report = schema_nc(result.schema, mode, key_cap=args.key_cap)
         elif args.command == "normalize":
-            from .transform import _write_trace, normalize_to_bcnf
+            from .transform import normalize_to_bcnf
 
-            trace = normalize_to_bcnf(result.schema, mode, key_cap=args.key_cap)
-            # A structured trace grows with the square of its steps: it is
-            # written below, each step as soon as it is rendered.
-            structured = args.format == "structured"
-            out = trace if structured else emit_report(trace, dsl_snapshots=args.trace)
+            report = normalize_to_bcnf(result.schema, mode, key_cap=args.key_cap)
         else:
-            out = _keys_report(result.schema, args.key_cap, args.format)
+            schema = result.schema
+            report = CandidateKeys(schema, tuple(
+                candidate_keys(rel, schema.projected_fds(rel), cap=args.key_cap)
+                for rel in schema.relations
+            ))
     except CapacityError as exc:
         needs = "" if args.command == "keys" else f" (--mode {args.mode} needs the key search)"
         _warn(f"normlens: {exc}{needs}")
@@ -280,10 +229,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if sys.stdout is None:  # started with stdout closed
             raise OSError("stdout is closed")
-        if isinstance(out, str):
-            sys.stdout.write(out)
-        else:
-            _write_trace(out, sys.stdout.write)
+        write_report(report, args.format, sys.stdout.write, dsl_snapshots=args.trace)
         sys.stdout.flush()
     except OSError as exc:
         _warn(f"normlens: cannot write output: {exc}")

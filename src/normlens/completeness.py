@@ -19,9 +19,9 @@ precision is lost is the two-decimal display truncation.
 
 A score renders here, as text (schema totals as equations, e.g.
 "2.71 + 4 = 6.71") or as stable JSON in which every exact rational appears as
-``{"num": ..., "den": ..., "display": ...}``; ``dsl.emit_report`` is the
-public entry. Of the commands, only ``analyze`` and ``normalize`` compile
-these renderers.
+``{"num": ..., "den": ..., "display": ...}``; ``dsl.emit_report`` and
+``dsl.write_report`` are the public entries. Of the commands, only
+``analyze`` and ``normalize`` compile these renderers.
 """
 
 from __future__ import annotations

@@ -19,30 +19,26 @@ line and column. Semantic rules are delegated to ``validate_schema``; its
 findings come back as diagnostics anchored to the declaration that caused
 them.
 
-``emit_report`` renders a score or a trace as text or as stable JSON. The
-renderers live beside the records they render, in ``completeness`` and
-``transform``, and it imports them when it is called: a command that parses
-only, or lists keys, compiles none of them.
+``emit_report`` renders every command's report as text or stable JSON, and
+``write_report`` writes it. A check and the key lists render here; a score and
+a trace beside their records, in ``completeness`` and ``transform``, imported
+only to render one: ``check`` and ``keys`` compile none of their renderers.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 from .model import (
-    _IDENT,
-    IDENTIFIER,
-    AttributeSpec,
-    FunctionalDependency,
-    RelationSchema,
-    Schema,
-    Severity,
-    _Record,
-    validate_schema,
+    _BOOL, _IDENT, _TOP, IDENTIFIER, AttributeSpec, FunctionalDependency, RelationSchema, Schema,
+    Severity, _array, _names, _quote, _Record, validate_schema,
 )
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:  # parsing needs neither; emit_report imports the one it renders
+    from collections.abc import Callable
+
     from .completeness import SchemaNC
     from .transform import TransformTrace
 
@@ -114,6 +110,59 @@ class ParseResult(_Record):
             for d in self.diagnostics
             if d.code == "SYNTAX" and d.severity is Severity.ERROR
         )
+
+
+class CandidateKeys(_Record):
+    """What ``keys`` reports: one tuple of candidate keys per relation, in schema order."""
+
+    schema: Schema
+    keys: tuple[tuple[frozenset[str], ...], ...]
+
+
+def _check_report(result: ParseResult, format: str) -> str:
+    if format == "structured":
+        diagnostics = [
+            f'{{\n      "code": {_quote(d.code)},\n      "column": {d.column:d},\n      "line": {d.line:d},'
+            f'\n      "message": {_quote(d.message)},\n      "severity": {_quote(d.severity.value)}\n    }}'
+            for d in result.diagnostics
+        ]
+        name = _quote(result.schema.name) if result.schema else "null"
+        return (
+            f'{{\n  "diagnostics": {_array(diagnostics, _TOP)},\n  "kind": "check",'
+            f'\n  "ok": {_BOOL[result.ok]},\n  "schema": {name}\n}}\n'
+        )
+    if result.ok and result.schema is not None:
+        schema = result.schema
+        warnings = sum(1 for d in result.diagnostics if d.severity is Severity.WARNING)
+        note = f", {warnings} warning(s)" if warnings else ""
+        return (
+            f"ok: {schema.name}: {len(schema.relations)} relation(s),"
+            f" {len(schema.fds)} fd(s){note}\n"
+        )
+    errors = sum(1 for d in result.diagnostics if d.severity is Severity.ERROR)
+    return f"invalid: {errors} error(s)\n"
+
+
+_KEYS_PAD, _KEY_PAD = _TOP + "    ", _TOP + "      "  # a relation's key list, one key's names
+
+
+def _keys_report(report: CandidateKeys, format: str) -> str:
+    rows = list(zip(report.schema.relations, report.keys, strict=True))
+    if format == "structured":
+        relations = [
+            f'{{\n      "keys": {_array([_names(sorted(key), _KEY_PAD) for key in keys], _KEYS_PAD)},'
+            f'\n      "name": {_quote(rel.name)}\n    }}'
+            for rel, keys in rows
+        ]
+        return (
+            f'{{\n  "kind": "candidate_keys",\n  "relations": {_array(relations, _TOP)},'
+            f'\n  "schema": {_quote(report.schema.name)}\n}}\n'
+        )
+    lines = [f"schema {report.schema.name}"]
+    for rel, keys in rows:
+        lines += ["", f"relation {rel.name}: {len(keys)} candidate key(s)"]
+        lines += [f"  ({', '.join(sorted(key))})" for key in keys]
+    return "\n".join(lines) + "\n"
 
 
 def _error(sink: list[ParseDiagnostic], line_no: int, column: int, message: str) -> None:
@@ -297,25 +346,28 @@ def emit_schema(schema: Schema) -> str:
 
 
 def emit_report(
-    report: SchemaNC | TransformTrace,
+    report: ParseResult | CandidateKeys | SchemaNC | TransformTrace,
     format: str = "text",
     *,
     dsl_snapshots: bool = False,
 ) -> str:
-    """Render a schema score, partitions inside, or a trace as text or stable JSON.
+    """Render a check result, key lists, a schema score or a trace as text or stable JSON.
 
     ``dsl_snapshots`` adds the schema after every step, in DSL form, to the text
     rendering of a trace (the structured form always embeds schemas). Structured
     output is what ``json.dumps(tree, indent=2, sort_keys=True)`` plus a newline
     gives for the report's tree, but no tree is built: each record writes its
     own JSON text, and a record the report shares, such as a score carried over
-    from step to step, is rendered once per indent. The renderers are those of
-    ``completeness`` and ``transform``; the CLI streams a structured trace to
-    stdout step by step with ``transform._write_trace``. Another format or
-    report type is a programmer error (ValueError, TypeError).
+    from step to step, is rendered once per indent. Another format or report
+    type is a programmer error (ValueError, TypeError), and so are key lists
+    that do not pair with their schema's relations (ValueError).
     """
     if format not in ("text", "structured"):
         raise ValueError(f"unknown report format {format!r}")
+    if isinstance(report, ParseResult):
+        return _check_report(report, format)
+    if isinstance(report, CandidateKeys):
+        return _keys_report(report, format)
     from .completeness import SchemaNC, _schema_nc, _text_schema_nc
 
     if isinstance(report, SchemaNC):
@@ -331,3 +383,22 @@ def emit_report(
     chunks: list[str] = []
     _write_trace(report, chunks.append)
     return "".join(chunks)
+
+
+def write_report(
+    report: ParseResult | CandidateKeys | SchemaNC | TransformTrace,
+    format: str,
+    write: Callable[[str], object],
+    *,
+    dsl_snapshots: bool = False,
+) -> None:
+    """Write ``emit_report(report, format, dsl_snapshots=...)`` through ``write``.
+
+    A structured trace, which grows with the square of its steps, is written a
+    step at a time as each is rendered; any other report in one call, or not at all.
+    """
+    transform = sys.modules.get(f"{__package__}.transform")  # loaded if report is a trace
+    if format == "structured" and transform and isinstance(report, transform.TransformTrace):
+        transform._write_trace(report, write)
+    else:
+        write(emit_report(report, format, dsl_snapshots=dsl_snapshots))

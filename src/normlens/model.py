@@ -12,7 +12,7 @@ here, and ``FDPartition`` and ``RelationNC`` in the scoring modules, have
 constructors that set fields and derived values in one step.
 ``ClassificationMode`` and ``truncated`` live here, so that parsing and
 rendering load no scoring module, and so do the JSON primitives that every
-structured report shares: ``cli``, ``completeness`` and ``transform`` render
+structured report shares: ``dsl``, ``completeness`` and ``transform`` render
 their own records with them.
 """
 

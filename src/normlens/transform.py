@@ -10,9 +10,9 @@ under the binary join criterion. Dependency preservation is NOT guaranteed;
 the trace lists dependencies that no longer project into any one relation.
 
 A trace renders here, as text or as stable JSON that embeds every schema and
-score; ``dsl.emit_report`` is the public entry, and the CLI streams a
-structured trace with ``_write_trace``. Of the commands, only ``normalize``
-compiles these renderers.
+score; ``dsl.emit_report`` is the public entry, and ``dsl.write_report``
+streams a structured trace with ``_write_trace``. Of the commands, only
+``normalize`` compiles these renderers.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import gc
 import importlib
@@ -195,14 +196,14 @@ def test_the_command_table(capsys):
         ("keys", "list candidate keys per relation"),
         ("check", "parse and validate only"),
     ]
+    # Every command reads trace (False where --trace is not accepted).
     common = {"input": "-", "mode": "primary", "format": "text", "key_cap": DEFAULT_KEY_CAP}
     for name in ("analyze", "normalize", "keys", "check"):
-        trace = {"trace": False} if name == "normalize" else {}
-        assert vars(parser.parse_args([name])) == {"command": name, **common, **trace}
+        assert vars(parser.parse_args([name])) == {"command": name, **common, "trace": False}
         argv = [name, "--mode", "strict", "--format", "structured", "--key-cap", "3", FIXTURE]
         assert vars(parser.parse_args(argv)) == {
             "command": name, "input": FIXTURE, "mode": "strict", "format": "structured",
-            "key_cap": 3, **trace,
+            "key_cap": 3, "trace": False,
         }
     for name in ("analyze", "keys", "check"):
         with pytest.raises(SystemExit) as excinfo:
@@ -484,6 +485,21 @@ def test_the_cli_imports_nothing_outside_the_standard_library():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n[]\n"
+
+
+def test_the_cli_imports_no_private_name_from_the_package():
+    # cli builds each command's report and hands it to dsl.write_report; it
+    # reaches no renderer or JSON helper of its own.
+    tree = ast.parse((REPO_ROOT / "src" / "normlens" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "normlens")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_every_exported_name_resolves_once(monkeypatch):

@@ -23,6 +23,7 @@ from normlens import (
     Schema,
     Severity,
     ValidationReport,
+    candidate_keys,
     emit_report,
     emit_schema,
     normalize_to_bcnf,
@@ -31,7 +32,7 @@ from normlens import (
     schema_nc,
 )
 from normlens import completeness, dsl, transform
-from normlens.cli import _check_report, main
+from normlens.cli import main
 from normlens.model import _IDENT, IDENTIFIER
 
 from conftest import CASE_STUDY_PATH, REPO_ROOT, fixture_copies
@@ -546,6 +547,31 @@ def test_emit_report_rejects_unknown_formats_and_types(case_study):
         emit_report(case_study)  # a Schema is not a report
     with pytest.raises(TypeError):
         emit_report(partition_preventing(case_study.relations[0], case_study.fds))
+    written = []
+    with pytest.raises(ValueError):
+        dsl.write_report(report, "yaml", written.append)
+    assert written == []
+    with pytest.raises(TypeError):
+        dsl.write_report(case_study, "text", written.append)
+    keys = dsl.CandidateKeys(case_study, ())  # no key tuple for the one relation
+    for fmt in ("text", "structured"):
+        with pytest.raises(ValueError):
+            emit_report(keys, fmt)
+
+
+
+def test_write_report_writes_what_emit_report_returns(case_study):
+    trace = normalize_to_bcnf(case_study)
+    rel = case_study.relations[0]
+    keys = dsl.CandidateKeys(case_study, (candidate_keys(rel, case_study.projected_fds(rel)),))
+    for report in (parse_schema(emit_schema(case_study)), keys, schema_nc(case_study), trace):
+        for fmt in ("text", "structured"):
+            chunks = []
+            dsl.write_report(report, fmt, chunks.append, dsl_snapshots=True)
+            assert "".join(chunks) == emit_report(report, fmt, dsl_snapshots=True)
+            # Only a structured trace is written piecewise, at least once per step.
+            streamed = report is trace and fmt == "structured"
+            assert len(chunks) > len(trace.steps) if streamed else len(chunks) == 1
 
 
 # --- structured rendering ------------------------------------------------------
@@ -572,19 +598,22 @@ def _structured(command: str, mode: ClassificationMode, text: str) -> tuple[int,
 def test_the_encoder_equals_json_dumps(text, mode, bad):
     if bad is not None:
         text += f"relation caf\u00e9(a) key(a)\n{bad} x\n"
-    schema = parse_schema(text).schema
-    reports = {}
+    result = parse_schema(text)
+    schema = result.schema
+    reports = {"check": result}
     if schema is not None:
+        reports["keys"] = dsl.CandidateKeys(schema, tuple(
+            candidate_keys(rel, schema.projected_fds(rel)) for rel in schema.relations
+        ))
         reports["analyze"] = schema_nc(schema, mode)
         with contextlib.suppress(DecompositionError):
             reports["normalize"] = normalize_to_bcnf(schema, mode)
-    written = {"check"} if schema is None else {"check", "keys", *reports}
     for command in ("check", "keys", "analyze", "normalize"):
         out = _structured(command, mode, text)[1]
-        assert bool(out) == (command in written)
+        assert bool(out) == (command in reports)
         if out:
             assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
-        if command in reports:  # the CLI streams a trace; emit_report returns it whole
+            # The CLI streams a trace; emit_report returns it whole.
             assert emit_report(reports[command], "structured") == out
         if command == "check" and bad is not None:
             assert json.dumps(bad)[1:-1] in out
@@ -635,7 +664,7 @@ def test_the_encoder_reads_leaves_of_subclasses_and_bool_as_json_dumps_does(leaf
         "ok": True,
         "schema": None if leaf is None else name,
     }
-    assert _check_report(result, "structured") == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+    assert emit_report(result, "structured") == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("mode", list(ClassificationMode))

@@ -108,7 +108,7 @@ _VOCABULARY = (
 class Worker:
     def __init__(self, src: Path):
         self.process = subprocess.Popen(
-            [sys.executable, "-I", "-c", WORKER, str(src)],
+            [sys.executable, "-I", "-B", "-c", WORKER, str(src)],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             encoding="utf-8",
