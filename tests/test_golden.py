@@ -10,19 +10,28 @@ without ``--trace``, and both in strict mode for ``multi_relation``),
 about repeated names must each point at their own declaration, and
 ``analyze`` and ``normalize`` on an unnormalized relation (``UNF (N=0)``,
 NC ``1/6``) that decomposition cannot raise.
+
+Every case runs through each entry: ``cli.main`` in process, ``python -m
+normlens``, and the installed script's call of ``normlens.__main__.run``.
+The process entries end with ``os._exit``, so these cases, and one whose
+block-buffered stdout is a regular file, check that no byte is left unflushed.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from normlens import emit_schema
 from normlens.cli import main
 
-from conftest import CASE_STUDY_PATH
+from conftest import CASE_STUDY_PATH, REPO_ROOT, fixture_copies
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = {
@@ -31,15 +40,42 @@ INPUTS = {
 }
 
 
+# Entry -> the interpreter arguments that start it, or None for cli.main in process.
+ENTRIES = {
+    "cli.main": None,
+    "python-m-normlens": ["-m", "normlens"],
+    "script-run": ["-c", "import sys; from normlens.__main__ import run; sys.exit(run())"],
+}
+
+
+def run_entry(entry, argv, monkeypatch, capsys, stdin=b"", stdout=subprocess.PIPE):
+    """(exit code, stdout, stderr) of ``normlens argv`` through ``entry``, as bytes."""
+    if ENTRIES[entry] is None:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out.encode("utf-8"), captured.err.encode("utf-8")
+    done = subprocess.run(
+        [sys.executable, *ENTRIES[entry], *argv],
+        input=stdin,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        # Buffered streams, as a shell starts it, whatever this process was started with.
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONUNBUFFERED": ""},
+        check=False,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
 @pytest.mark.parametrize("mode", ["primary", "strict"])
 @pytest.mark.parametrize("command", ["analyze", "normalize"])
 @pytest.mark.parametrize("source", sorted(INPUTS))
-def test_structured_output_matches_golden(capsys, source, command, mode):
-    code = main([command, str(INPUTS[source]), "--mode", mode, "--format", "structured"])
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    golden = GOLDEN / f"{source}.{command}.{mode}.json"
-    assert captured.out.encode("utf-8") == golden.read_bytes()
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_structured_output_matches_golden(monkeypatch, capsys, entry, source, command, mode):
+    argv = [command, str(INPUTS[source]), "--mode", mode, "--format", "structured"]
+    code, out, err = run_entry(entry, argv, monkeypatch, capsys)
+    assert (code, err) == (0, b"")
+    assert out == (GOLDEN / f"{source}.{command}.{mode}.json").read_bytes()
 
 
 # Golden name -> (input, arguments, exit code). The inputs in INPUTS are read
@@ -82,19 +118,35 @@ COMMAND_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(COMMAND_CASES))
-def test_command_output_matches_golden(capsys, monkeypatch, name):
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_command_output_matches_golden(monkeypatch, capsys, entry, name):
     source, args, exit_code = COMMAND_CASES[name]
     if source in INPUTS:
-        code = main([*args, str(INPUTS[source])])
+        code, out, err = run_entry(entry, [*args, str(INPUTS[source])], monkeypatch, capsys)
     else:
         data = (GOLDEN / f"{source}.nls").read_bytes()
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-        code = main([*args, "-"])
-    captured = capsys.readouterr()
-    assert code == exit_code, captured.err
-    assert captured.out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
-    expected_err = b"" if source in INPUTS else (GOLDEN / f"{name}.err").read_bytes()
-    assert captured.err.encode("utf-8") == expected_err
+        code, out, err = run_entry(entry, [*args, "-"], monkeypatch, capsys, stdin=data)
+    assert code == exit_code, err
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+    assert err == (b"" if source in INPUTS else (GOLDEN / f"{name}.err").read_bytes())
+
+
+@pytest.mark.parametrize("entry", [entry for entry in ENTRIES if ENTRIES[entry]])
+def test_a_large_output_to_a_regular_file_equals_the_in_process_bytes(
+    monkeypatch, capsys, tmp_path, case_study, entry
+):
+    # A regular file is block-buffered, so the end of the report sits in the
+    # buffer until the process entry flushes it.
+    source = tmp_path / "copies.nls"
+    source.write_text(emit_schema(fixture_copies(case_study, 10)), encoding="utf-8")
+    argv = ["normalize", str(source), "--format", "structured"]
+    code, expected, err = run_entry("cli.main", argv, monkeypatch, capsys)
+    assert (code, err) == (0, b"")
+    assert len(expected) > 1_000_000
+    with open(tmp_path / "out.json", "wb") as stdout:
+        code, _out, err = run_entry(entry, argv, monkeypatch, capsys, stdout=stdout)
+    assert (code, err) == (0, b"")
+    assert (tmp_path / "out.json").read_bytes() == expected
 
 
 def test_each_structured_golden_is_json_dumps_of_itself():
