@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,28 @@ CASE_STUDY_RENAMES = {
     "StaffInspection_staffNo": "Staff",
     "StaffInspection": "Inspection",
 }
+
+
+def start_python(*args: str, env: dict[str, str] | None = None, **kwargs) -> subprocess.Popen:
+    """Start ``python args``: the one way the tests start a child Python.
+
+    The child sees none of the caller's ``PYTHON*`` settings, since
+    PYTHONUNBUFFERED, PYTHONIOENCODING and PYTHONWARNINGS each change its bytes,
+    so its streams are those a shell gives it. It imports this checkout's
+    sources and writes no bytecode into them. ``env`` entries win; other
+    keywords go to ``Popen``. stdout and stderr are pipes unless given.
+    """
+    kept = {name: value for name, value in os.environ.items() if not name.startswith("PYTHON")}
+    kept.update(PYTHONPATH=str(REPO_ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", **(env or {}))
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.Popen([sys.executable, *args], env=kept, **kwargs)
+
+
+def run_python(*args: str, stdin: bytes = b"", **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python args`` to its end with ``stdin`` as its input; see ``start_python``."""
+    with start_python(*args, stdin=subprocess.PIPE, **kwargs) as child:
+        out, err = child.communicate(stdin)
+    return subprocess.CompletedProcess(child.args, child.returncode, out, err)
 
 
 def fixture_copies(schema: Schema, copies: int) -> Schema:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import functools
 import gc
 import importlib
 import io
@@ -10,7 +11,6 @@ import itertools
 import json
 import os
 import random
-import subprocess
 import sys
 from unittest import mock
 
@@ -24,29 +24,20 @@ from normlens import emit_schema
 from normlens.cli import build_parser, main
 from normlens.fd import DEFAULT_KEY_CAP
 
-from conftest import CASE_STUDY_PATH, REPO_ROOT, fixture_copies
+from conftest import CASE_STUDY_PATH, REPO_ROOT, fixture_copies, run_python, start_python
 from corpus import random_multi_relation_schema
 
 FIXTURE = str(CASE_STUDY_PATH)
 GOLDEN = REPO_ROOT / "tests" / "golden"
 
 
-def run_process(
-    *argv, stdin=b"", stdout=subprocess.PIPE, stderr=subprocess.PIPE, closed=None, **env
-):
-    """``python -m normlens argv`` against this checkout's sources.
+def run_process(*argv, closed=None, **kwargs):
+    """``python -m normlens argv`` through ``run_python``.
 
     ``closed`` names a descriptor to close in the child before Python starts.
     """
-    return subprocess.run(
-        [sys.executable, "-m", "normlens", *argv],
-        input=stdin,
-        stdout=stdout,
-        stderr=stderr,
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), **env},
-        preexec_fn=None if closed is None else lambda: os.close(closed),
-        check=False,
-    )
+    preexec_fn = None if closed is None else lambda: os.close(closed)
+    return run_python("-m", "normlens", *argv, preexec_fn=preexec_fn, **kwargs)
 
 
 def run(capsys, *argv):
@@ -317,9 +308,8 @@ def test_non_utf8_stdin_exits_4_with_one_line(capsys, monkeypatch):
 
 
 def test_non_utf8_stdin_is_decoded_as_utf8_whatever_the_stdin_encoding():
-    done = run_process(
-        "check", stdin=b"schema S\nrelation R(a, b) key(a)\n\xff\n", PYTHONIOENCODING="latin-1"
-    )
+    text = b"schema S\nrelation R(a, b) key(a)\n\xff\n"
+    done = run_process("check", stdin=text, env={"PYTHONIOENCODING": "latin-1"})
     assert done.returncode == 4
     assert done.stdout == b""
     lines = done.stderr.decode().splitlines()
@@ -332,7 +322,7 @@ def test_non_utf8_stdin_is_decoded_as_utf8_whatever_the_stdin_encoding():
 @pytest.mark.parametrize("argv", [["check"], ["normalize", "--format", "structured"]])
 def test_write_failure_exits_4_with_one_line(argv, unbuffered):
     with open("/dev/full", "wb") as full:
-        done = run_process(*argv, FIXTURE, stdout=full, PYTHONUNBUFFERED=unbuffered)
+        done = run_process(*argv, FIXTURE, stdout=full, env={"PYTHONUNBUFFERED": unbuffered})
     assert done.returncode == 4
     lines = done.stderr.decode().splitlines()
     assert len(lines) == 1
@@ -362,12 +352,7 @@ def test_a_reader_that_stops_early_gets_a_prefix_and_exit_4(case_study, tmp_path
     path.write_text(emit_schema(fixture_copies(case_study, 10)), encoding="utf-8")
     argv = ("normalize", "--format", "structured", str(path))
     full = run_process(*argv).stdout
-    child = subprocess.Popen(
-        [sys.executable, "-m", "normlens", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-    )
+    child = start_python("-m", "normlens", *argv)
     head = child.stdout.read(4096)
     child.stdout.close()
     lines = child.stderr.read().decode().splitlines()
@@ -377,6 +362,15 @@ def test_a_reader_that_stops_early_gets_a_prefix_and_exit_4(case_study, tmp_path
     assert head == full[:4096]
     assert len(lines) == 1
     assert lines[0].startswith("normlens: cannot write output: ")
+
+
+_CHECK_STDIN = ("check", "--format", "structured", "-")
+
+
+@functools.cache
+def check_with_stderr(name):
+    """``check`` of golden ``name`` read from stdin, with stderr piped: one child per name."""
+    return run_process(*_CHECK_STDIN, stdin=(GOLDEN / f"{name}.nls").read_bytes())
 
 
 @pytest.mark.skipif(
@@ -389,15 +383,14 @@ def test_a_reader_that_stops_early_gets_a_prefix_and_exit_4(case_study, tmp_path
 )
 @pytest.mark.parametrize("name", ["repeated_names", "invalid"])
 def test_a_closed_or_full_stderr_changes_neither_stdout_nor_the_exit_code(name, stderr, unbuffered):
-    argv = ("check", "--format", "structured", "-")
     text = (GOLDEN / f"{name}.nls").read_bytes()
     expected = (GOLDEN / f"{name}.check.structured.out").read_bytes()
-    with_stderr = run_process(*argv, stdin=text)
+    with_stderr = check_with_stderr(name)
     assert with_stderr.stdout == expected
     assert with_stderr.stderr == (GOLDEN / f"{name}.check.structured.err").read_bytes()
     with open("/dev/full", "wb") as full:
         where = {"closed": 2} if stderr == "closed" else {"stderr": full}
-        done = run_process(*argv, stdin=text, PYTHONUNBUFFERED=unbuffered, **where)
+        done = run_process(*_CHECK_STDIN, stdin=text, env={"PYTHONUNBUFFERED": unbuffered}, **where)
     assert done.stdout == expected
     assert done.returncode == with_stderr.returncode
 
@@ -459,32 +452,56 @@ def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, via):
     assert with_mark[0] == 0
 
 
-# -S keeps site from running .pth files, which import installed packages.
-_IMPORTS_OUTSIDE_STDLIB = """
-import importlib, sys
-sys.path.insert(0, sys.argv[1])
-before = set(sys.modules)
-for name in sys.argv[2:]:
-    importlib.import_module(name)
-loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
-print(sorted(loaded - set(sys.stdlib_module_names) - {"normlens"}))
-# The tool reads a file with open() and spells out its letters.
-print(sorted(loaded & {"pathlib", "string"}))
+# The one child program of the tests below. It runs one entry, then writes one JSON
+# line on stderr: the exit code that ended the entry, the exits the process entry
+# asked for, the modules loaded, and "module.name" for each function that a loaded
+# normlens module defines. The process entry ends the process with os._exit; here
+# that raises SystemExit instead, so the report reads the process as it would end.
+# Each exit records its code and whether the collector was on.
+_REPORT = """
+import gc, os, sys
+EXITS = []
+def _exit(code):
+    EXITS.append((code, gc.isenabled()))
+    raise SystemExit(code)
+os._exit = _exit
+CODE = None
+try:
+    {entry}
+except SystemExit as exc:
+    CODE = exc.code
+MODULES = sorted(sys.modules)
+DEFINED = sorted(
+    name + "." + attr
+    for name, module in list(sys.modules.items()) if name.startswith("normlens")
+    for attr, value in vars(module).items()
+    if type(value) is type(_exit) and value.__module__ == name
+)
+import json
+print(json.dumps(dict(code=CODE, exits=EXITS, modules=MODULES, defined=DEFINED)), file=sys.stderr)
 """
+
+
+@functools.cache
+def child_report(entry: str, *argv: str) -> tuple[bytes, dict]:
+    """(stdout, report) of ``_REPORT`` running ``entry`` with ``argv``, one child per call.
+
+    -S keeps site from running .pth files, which import installed packages.
+    """
+    done = run_python("-S", "-c", _REPORT.format(entry=entry), *argv)
+    assert done.returncode == 0, done.stderr
+    return done.stdout, json.loads(done.stderr)
 
 
 def test_the_cli_imports_nothing_outside_the_standard_library():
     package = REPO_ROOT / "src" / "normlens"
     modules = [f"normlens.{path.stem}" for path in sorted(package.glob("*.py"))]
     assert {"normlens.__main__", "normlens.cli", "normlens.transform"} <= set(modules)
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", _IMPORTS_OUTSIDE_STDLIB, str(REPO_ROOT / "src"), *modules],
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n[]\n"
+    _out, report = child_report(f"import {', '.join(modules)}")
+    loaded = {name.partition(".")[0] for name in report["modules"]}
+    assert sorted(loaded - set(sys.stdlib_module_names) - {"__main__", "normlens"}) == []
+    # The tool reads a file with open() and spells out its letters.
+    assert sorted(loaded & {"pathlib", "string"}) == []
 
 
 def test_the_cli_imports_no_private_name_from_the_package():
@@ -518,29 +535,11 @@ def test_every_exported_name_resolves_once(monkeypatch):
     assert normlens.closure is replacement
 
 
-# Runs "python -m normlens" or the installed script's entry, then prints the modules loaded.
+# "python -m normlens" and the installed script's entry.
 _ENTRIES = (
     "import runpy; runpy.run_module('normlens', run_name='__main__')",
     "from normlens.__main__ import run; run()",
 )
-# The process entry ends the process with os._exit; in these child snippets it
-# raises SystemExit instead, so each snippet reads the process as it would end.
-# EXITS records each call's exit code and whether the collector was on.
-_EXIT_PROLOGUE = """
-import gc, os, sys
-EXITS = []
-def _exit(code):
-    EXITS.append((code, gc.isenabled()))
-    raise SystemExit(code)
-os._exit = _exit
-"""
-_LOADED_BY_COMMAND = _EXIT_PROLOGUE + """
-try:
-    {}
-except SystemExit:
-    pass
-print(" ".join(sorted(sys.modules)))
-"""
 _SCORING = {"normlens.classify", "normlens.completeness", "normlens.transform"}
 # Structured output needs only the C string encoder, not the json package.
 _JSON = {"json", "json.decoder", "json.scanner"}
@@ -553,30 +552,12 @@ _GENERATED_CODE = {"dataclasses", "inspect"}
 _PARSER_AND_TYPING = {"argparse", "gettext", "locale", "shutil", "typing"}
 
 
-def loaded_modules(*code: str) -> set[str]:
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", *code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-        check=False,
-    )
-    assert done.returncode == 0, done.stderr
-    return set(done.stdout.splitlines()[-1].split())
-
-
-def run_without_site(*argv: str) -> subprocess.CompletedProcess[str]:
-    return subprocess.run(
-        [sys.executable, "-S", "-m", "normlens", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-        check=False,
-    )
+def loaded_modules(entry: str, *argv: str) -> set[str]:
+    return set(child_report(entry, *argv)[1]["modules"])
 
 
 def test_importing_the_package_loads_no_submodule():
-    loaded = loaded_modules("import sys, normlens; print(' '.join(sys.modules))")
+    loaded = loaded_modules("import normlens")
     assert "normlens" in loaded
     assert {name for name in loaded if name.startswith("normlens.")} == set()
     assert loaded & _GENERATED_CODE == set()
@@ -594,27 +575,13 @@ _LIBRARY_IMPORTS = {
 
 @pytest.mark.parametrize("layer, loads", _LIBRARY_IMPORTS.items())
 def test_importing_a_library_layer_loads_only_what_it_runs(layer, loads):
-    loaded = loaded_modules(f"import sys, normlens.{layer}; print(' '.join(sys.modules))")
+    loaded = loaded_modules(f"import normlens.{layer}")
     assert {name for name in loaded if name.startswith("normlens.")} == {
         f"normlens.{name}" for name in loads
     }
     assert loaded & (_JSON | _GENERATED_CODE | _PARSER_AND_TYPING | _FRACTIONS) == set()
 
 
-# Prints "module.name" for each function that a loaded normlens module defines.
-_DEFINED_BY_COMMAND = _EXIT_PROLOGUE + """
-import types
-try:
-    {}
-except SystemExit:
-    pass
-print(" ".join(
-    f"{{name}}.{{attr}}"
-    for name, module in list(sys.modules.items()) if name.startswith("normlens")
-    for attr, value in vars(module).items()
-    if isinstance(value, types.FunctionType) and value.__module__ == name
-))
-"""
 _SCORE_RENDERERS = {
     "_rational", "_relation_nc", "_schema_nc", "_text_schema_nc", "_equation", "_term",
     "_exact", "_labels",
@@ -638,7 +605,7 @@ def test_each_command_compiles_only_the_renderers_it_can_run(command, compiled, 
     # A renderer lives beside its record (completeness, transform), not in dsl or
     # cli, so a command that cannot reach it never compiles it.
     for entry in _ENTRIES:
-        defined = loaded_modules(_DEFINED_BY_COMMAND.format(entry), command, FIXTURE)
+        defined = child_report(entry, command, FIXTURE)[1]["defined"]
         names = {item.rpartition(".")[2] for item in defined}
         assert compiled <= names, entry
         assert sorted(item for item in defined if item.rpartition(".")[2] in absent) == [], entry
@@ -654,19 +621,19 @@ def test_each_command_compiles_only_the_renderers_it_can_run(command, compiled, 
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(command, unused):
-    runs = [loaded_modules(_LOADED_BY_COMMAND.format(e), command, FIXTURE) for e in _ENTRIES]
+    runs = [loaded_modules(entry, command, FIXTURE) for entry in _ENTRIES]
     loaded, each = set.union(*runs), set.intersection(*runs)  # by any entry, by every entry
     assert {"normlens.cli", "normlens.dsl", "normlens.model"} | (_SCORING - unused) <= each
     assert loaded & (unused | _JSON | _GENERATED_CODE | _PARSER_AND_TYPING | _FRACTIONS) == set()
     # Help and usage errors are still argparse's.
     usage = f"usage: normlens {command} [-h]"
-    bad = run_without_site(command, "--mode", "bogus", FIXTURE)
-    assert (bad.returncode, bad.stdout) == (4, "")
-    assert bad.stderr.startswith(usage)
-    assert "error: argument --mode: invalid choice: 'bogus'" in bad.stderr
-    shown = run_without_site(command, "--help")
-    assert (shown.returncode, shown.stderr) == (0, "")
-    assert shown.stdout.startswith(usage)
+    bad = run_python("-S", "-m", "normlens", command, "--mode", "bogus", FIXTURE)
+    assert (bad.returncode, bad.stdout) == (4, b"")
+    assert bad.stderr.decode().startswith(usage)
+    assert "error: argument --mode: invalid choice: 'bogus'" in bad.stderr.decode()
+    shown = run_python("-S", "-m", "normlens", command, "--help")
+    assert (shown.returncode, shown.stderr) == (0, b"")
+    assert shown.stdout.decode().startswith(usage)
 
 
 def test_the_package_surface_is_complete_and_never_cached():
@@ -737,23 +704,10 @@ def test_the_in_process_entry_leaves_the_collector_as_it_found_it(capsys, enable
         gc.enable()
 
 
-_RUN_AS_MAIN = _EXIT_PROLOGUE + """
-import runpy
-try:
-    runpy.run_module("normlens", run_name="__main__")
-except SystemExit as exc:
-    print(exc.code, EXITS, file=sys.stderr)
-"""
-
-
 def test_the_process_entry_pauses_the_collector_and_exits_without_teardown():
-    done = subprocess.run(
-        [sys.executable, "-c", _RUN_AS_MAIN, "analyze", FIXTURE],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-        check=False,
-    )
-    golden = REPO_ROOT / "tests" / "golden" / "case_study.analyze.text.out"
-    assert done.stdout == golden.read_bytes()
-    assert done.stderr == b"0 [(0, False)]\n"  # os._exit(0) once, with the collector off
-    assert done.returncode == 0
+    golden = (GOLDEN / "case_study.analyze.text.out").read_bytes()
+    for entry in _ENTRIES:
+        out, report = child_report(entry, "analyze", FIXTURE)
+        assert out == golden, entry
+        # os._exit(0) once, with the collector off
+        assert (report["code"], report["exits"]) == (0, [[0, False]]), entry

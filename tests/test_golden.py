@@ -21,9 +21,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -31,7 +28,7 @@ import pytest
 from normlens import emit_schema
 from normlens.cli import main
 
-from conftest import CASE_STUDY_PATH, REPO_ROOT, fixture_copies
+from conftest import CASE_STUDY_PATH, fixture_copies, run_python
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = {
@@ -48,22 +45,17 @@ ENTRIES = {
 }
 
 
-def run_entry(entry, argv, monkeypatch, capsys, stdin=b"", stdout=subprocess.PIPE):
-    """(exit code, stdout, stderr) of ``normlens argv`` through ``entry``, as bytes."""
+def run_entry(entry, argv, monkeypatch, capsys, stdin=b"", **streams):
+    """(exit code, stdout, stderr) of ``normlens argv`` through ``entry``, as bytes.
+
+    ``streams`` go to ``run_python``, whose children are buffered as a shell starts them.
+    """
     if ENTRIES[entry] is None:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
         code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out.encode("utf-8"), captured.err.encode("utf-8")
-    done = subprocess.run(
-        [sys.executable, *ENTRIES[entry], *argv],
-        input=stdin,
-        stdout=stdout,
-        stderr=subprocess.PIPE,
-        # Buffered streams, as a shell starts it, whatever this process was started with.
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONUNBUFFERED": ""},
-        check=False,
-    )
+    done = run_python(*ENTRIES[entry], *argv, stdin=stdin, **streams)
     return done.returncode, done.stdout, done.stderr
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import normlens.model
 from normlens import (
     AttributeSpec,
+    CandidateKeys,
     ClassificationMode,
     FDPartition,
     FunctionalDependency,
@@ -197,7 +198,14 @@ RECORD_FIELDS = {
     SchemaNC: ("schema", "mode", "per_relation"),
     TransformStep: ("position", "moved_fd_labels", "nc_before", "nc_after"),
     TransformTrace: ("steps", "initial_nc"),
+    CandidateKeys: ("schema", "keys"),
 }
+
+
+def test_every_exported_record_type_is_in_the_record_contract():
+    exported = {getattr(normlens, name) for name in normlens.__all__}
+    records = {v for v in exported if isinstance(v, type) and issubclass(v, normlens.model._Record)}
+    assert records == set(RECORD_FIELDS)
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +232,12 @@ def records(case_study):
         SchemaNC: [initial, strict.initial_nc, final],
         TransformStep: [*primary.steps[:2]],
         TransformTrace: [primary, strict],
+        CandidateKeys: [
+            CandidateKeys(schema, tuple(
+                candidate_keys(rel, schema.projected_fds(rel)) for rel in schema.relations
+            ))
+            for schema in (case_study, final.schema)
+        ],
     }
 
 

@@ -1,9 +1,6 @@
 from __future__ import annotations
 
-import os
 import re
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -34,7 +31,7 @@ from normlens import (
     validate_schema,
 )
 
-from conftest import CASE_STUDY_RENAMES, REPO_ROOT, fixture_copies
+from conftest import CASE_STUDY_RENAMES, REPO_ROOT, fixture_copies, run_python
 from corpus import build_corpus, build_multi_corpus, fd
 
 
@@ -233,16 +230,10 @@ def test_the_readme_python_example_prints_the_fixture_score():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
     assert blocks
-    done = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", "".join(blocks)],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-        check=False,
-    )
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.splitlines()[0] == "16.00"
+    flags = ("-X", "dev", "-W", "error::ResourceWarning")
+    done = run_python(*flags, "-c", "".join(blocks), cwd=REPO_ROOT)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.splitlines()[0] == b"16.00"
 
 
 def test_normalize_rejects_partial_dependency_with_superkey_determinant():
