@@ -237,7 +237,3 @@ def main(argv: Sequence[str] | None = None) -> int:
             _discard(sys.stdout)
         return EXIT_USAGE
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

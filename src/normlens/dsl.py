@@ -32,7 +32,7 @@ import sys
 
 from .model import (
     _BOOL, _IDENT, _TOP, IDENTIFIER, AttributeSpec, FunctionalDependency, RelationSchema, Schema,
-    Severity, _array, _names, _quote, _Record, validate_schema,
+    Severity, _array, _names, _new, _quote, _Record, validate_schema,
 )
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # parsing needs neither; emit_report imports the one it rende
     from collections.abc import Callable
 
     from .completeness import SchemaNC
+    from .model import _Names
     from .transform import TransformTrace
 
 _TOKEN_RE = re.compile(rf"{_IDENT}|->|[(),:*]|\S")
@@ -224,17 +225,17 @@ def _name_list(
     match: re.Match[str],
     group: int,
     what: str,
-    lists: dict[str, tuple[str, ...]],
-) -> tuple[str, ...]:
-    # A matched list's names, once each. A list of distinct names is scanned once per
-    # text and every later copy shares its tuple; a list with a repeat stays out of
-    # ``lists``, so every copy warns again, at each repeat's own column.
+    lists: dict[str, _Names],
+) -> _Names:
+    # A matched list's names, once each, and their set. A list of distinct names is
+    # scanned once per text and every later copy shares its pair; a list with a
+    # repeat stays out of ``lists``, so every copy warns again, at each repeat's own column.
     text = match[group]
     names = lists.get(text)
     if names is None:
         found = _IDENT_RE.findall(text)
-        names = tuple(dict.fromkeys(found))
-        if len(names) == len(found):
+        names = tuple(dict.fromkeys(found)), frozenset(found)
+        if len(names[0]) == len(found):
             lists[text] = names
         else:
             seen: set[str] = set()
@@ -252,9 +253,10 @@ def parse_schema(text: str) -> ParseResult:
     Warnings (for example a primary key that is not a superkey) leave the
     schema usable. A validation finding points at the declaration that is its
     ``Violation.subject``, even when a name repeats (the schema line when it
-    has none). Declarations whose name lists have the same text, with no
-    name repeated, share one tuple of names. Diagnostics do not know where
-    the text came from: ``ParseDiagnostic.render(provenance)`` names the source.
+    has none). Declarations whose name lists have the same text, with no name
+    repeated, share one tuple of names and its set; relations share one
+    ``AttributeSpec`` per name and atomicity. Diagnostics do not know where the
+    text came from: ``ParseDiagnostic.render(provenance)`` names the source.
     """
     diagnostics: list[ParseDiagnostic] = []
     schema_name: str | None = None
@@ -264,28 +266,34 @@ def parse_schema(text: str) -> ParseResult:
     # (line, column) of each declaration, parallel to relations and fds.
     relation_at: list[tuple[int, int]] = []
     fd_at: list[tuple[int, int]] = []
-    lists: dict[str, tuple[str, ...]] = {}  # name list text -> its distinct names
+    lists: dict[str, _Names] = {}  # name list text -> its distinct names and their set
+    specs: dict[tuple[str, str], AttributeSpec] = {}  # (name, "*" or "") -> its spec
 
     # One leading byte-order mark, as some editors write, is not schema text.
     # Only \n, \r\n and \r end a line, as for grep -n; str.splitlines() breaks at \f too.
     lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, raw in enumerate(lines, 1):
-        content = raw.split("#", 1)[0]
-        if not content.strip():
-            continue
+    for line_no, content in enumerate(lines, 1):
+        # A declaration holds no '#', so only a line it rejects may be a comment or blank.
         match = _DECLARATION_RE.fullmatch(content)
+        if match is None:
+            content = content.split("#", 1)[0]
+            if not content.strip():
+                continue
+            match = _DECLARATION_RE.fullmatch(content)
         # A declaration out of order goes on to the checks below, which report it.
         if match and schema_name is not None and (match[4] or not fds):
             if match[1]:
-                specs = _ATTRIBUTE_RE.findall(content, *match.span(2))
-                attrs = tuple(AttributeSpec(name, not star) for name, star in specs)
+                attrs = tuple(
+                    specs.get(f) or specs.setdefault(f, AttributeSpec(f[0], not f[1]))
+                    for f in _ATTRIBUTE_RE.findall(content, *match.span(2))
+                )
                 key = _name_list(diagnostics, line_no, match, 3, "key", lists)
-                relations.append(RelationSchema(match[1], attrs, key))
+                relations.append(_new(RelationSchema)._set(match[1], attrs, key))
                 relation_at.append((line_no, match.start(1) + 1))
             else:
                 determinant = _name_list(diagnostics, line_no, match, 5, "determinant", lists)
                 dependents = _name_list(diagnostics, line_no, match, 6, "dependent", lists)
-                fds.append(FunctionalDependency(match[4], determinant, dependents))
+                fds.append(_new(FunctionalDependency)._set(match[4], determinant, dependents))
                 fd_at.append((line_no, match.start(4) + 1))
             continue
         first = _TOKEN_RE.search(content)

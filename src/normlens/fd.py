@@ -57,8 +57,8 @@ def is_superkey(
     ForeignAttributeError when the candidate strays outside the heading.
     """
     cand = _names(candidate)
-    foreign = sorted(cand - relation.attribute_set)
-    if foreign:
+    if not cand <= relation.attribute_set:
+        foreign = sorted(cand - relation.attribute_set)
         raise ForeignAttributeError(
             f"attributes {foreign} are not part of relation {relation.name!r}"
         )

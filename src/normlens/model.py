@@ -33,8 +33,11 @@ if TYPE_CHECKING:  # annotations only; completeness builds the scores
     from fractions import Fraction
     from typing import Any, ClassVar
 
+    _Names = tuple[tuple[str, ...], frozenset[str]]  # canonical: distinct, in order, and their set
+
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"  # the grammar's IDENT; dsl builds its patterns on it
 IDENTIFIER = re.compile(rf"{_IDENT}\Z")
+_IDENTIFIERS = re.compile(rf"(?:{_IDENT} )*\Z")  # names, each followed by one space
 
 
 class NormalForm(IntEnum):
@@ -109,7 +112,7 @@ class ClassificationMode(Enum):
     STRICT = "strict"
 
 
-def _names_and_set(names: Iterable[str] | str) -> tuple[tuple[str, ...], frozenset[str]]:
+def _names_and_set(names: Iterable[str] | str) -> _Names:
     # Unique names preserving first occurrence (a tuple of distinct names is kept
     # as given) and their set, both from one frozenset; unordered inputs are sorted
     # so downstream output stays deterministic.
@@ -127,6 +130,7 @@ def _names_and_set(names: Iterable[str] | str) -> tuple[tuple[str, ...], frozens
 
 
 _setattr = object.__setattr__  # sets a field past _Record.__setattr__
+_new = object.__new__  # a bare record, for a constructor's private setter to fill
 
 
 class _Record:
@@ -217,16 +221,17 @@ class FunctionalDependency(_Record):
     def __init__(
         self, label: str, determinant: Iterable[str] | str, dependents: Iterable[str] | str
     ) -> None:
-        determinant, determinant_set = _names_and_set(determinant)
-        dependents, dependents_set = _names_and_set(dependents)
+        self._set(label, _names_and_set(determinant), _names_and_set(dependents))
+
+    def _set(self, label: str, determinant: _Names, dependents: _Names) -> FunctionalDependency:
+        # Fields and derived sets from canonical sides; the parser and normalize_fds,
+        # whose names are canonical already, call it on a bare instance.
         vars(self).update(
-            label=label,
-            determinant=determinant,
-            dependents=dependents,
-            determinant_set=determinant_set,
-            dependents_set=dependents_set,
-            attributes=determinant_set | dependents_set,
+            label=label, determinant=determinant[0], dependents=dependents[0],
+            determinant_set=determinant[1], dependents_set=dependents[1],
+            attributes=determinant[1] | dependents[1],
         )
+        return self
 
     def __str__(self) -> str:
         return (
@@ -249,16 +254,16 @@ class RelationSchema(_Record):
         primary_key: Iterable[str] | str,
     ) -> None:
         specs = tuple(AttributeSpec(attr) if isinstance(attr, str) else attr for attr in attributes)
+        self._set(name, specs, _names_and_set(primary_key))
+
+    def _set(self, name: str, specs: tuple[AttributeSpec, ...], key: _Names) -> RelationSchema:
+        # As FunctionalDependency._set, from specs and a canonical key; the parser calls it.
         attribute_names = tuple(spec.name for spec in specs)
-        primary_key, primary_key_set = _names_and_set(primary_key)
         vars(self).update(
-            name=name,
-            attributes=specs,
-            primary_key=primary_key,
-            attribute_names=attribute_names,
-            attribute_set=frozenset(attribute_names),
-            primary_key_set=primary_key_set,
+            name=name, attributes=specs, primary_key=key[0], attribute_names=attribute_names,
+            attribute_set=frozenset(attribute_names), primary_key_set=key[1],
         )
+        return self
 
     def heading(self) -> str:
         """Render as ``Name(attr1, attr2, ...)``."""
@@ -344,10 +349,10 @@ def normalize_fds(
         if len(fd.dependents) <= 1:
             out.append(fd)
             continue
+        determinant = fd.determinant, fd.determinant_set
         for suffix, dep in zip(_letter_suffixes(), fd.dependents):
-            out.append(
-                FunctionalDependency(f"{fd.label}.{suffix}", fd.determinant, (dep,))
-            )
+            label, dependents = f"{fd.label}.{suffix}", ((dep,), frozenset((dep,)))
+            out.append(_new(FunctionalDependency)._set(label, determinant, dependents))
     return tuple(out)
 
 
@@ -413,14 +418,21 @@ def validate_schema(schema: Schema) -> ValidationReport:
         return vars(schema)["_report"]
     out: list[Violation] = []
     universe = frozenset().union(*(rel.attribute_set for rel in schema.relations))
-    # Names repeat across declarations, so each distinct one is matched once.
+    # Names repeat across declarations, so the distinct ones are matched in one go, joined
+    # by spaces: with one space fewer than names, no name holds one. Only when that fails
+    # is each matched on its own, to find the bad ones.
     names = universe.union(
         (schema.name,),
         (rel.name for rel in schema.relations),
         (fd.label for fd in schema.fds),
         *(fd.attributes for fd in schema.fds),
     )
-    bad_names = {name for name in names if not IDENTIFIER.match(name or "")}
+    try:
+        joined = " ".join(names)
+    except TypeError:  # a name that is not a str
+        joined = ""
+    one_match = joined.count(" ") == len(names) - 1 and _IDENTIFIERS.match(joined + " ")
+    bad_names = set() if one_match else {n for n in names if not IDENTIFIER.match(n or "")}
 
     def err(
         code: str, message: str, subject: _Subject = None, severity: Severity = Severity.ERROR

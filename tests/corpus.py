@@ -118,3 +118,29 @@ def benchmark_texts(seed: int) -> dict[str, str]:
     from run import WORKLOADS
 
     return {name: build(seed).text for name, (build, _metrics) in WORKLOADS.items()}
+
+
+def probe_inputs() -> list[tuple[str, str]]:
+    """(label, text) of the probe shapes at small sizes.
+
+    ``star k``: k relations Ri(ai, bi, ci) key(ai) with bi -> ci. ``chain n``: one
+    relation R(a0..a(n-1)) key(a0) with a(i) -> a(i+1), listed last to first.
+    ``pairs m``: one relation R(a0..a(m-1), b0..b(m-1)) key(a0..a(m-1)) with ai -> bi
+    and bi -> ai, which has 2^m candidate keys.
+    """
+    inputs = []
+    for k in (1, 3, 7):
+        lines = [f"relation R{i}(a{i}, b{i}, c{i}) key(a{i})" for i in range(k)]
+        lines += [f"fd F{i}: b{i} -> c{i}" for i in range(k)]
+        inputs.append((f"probe star {k}", lines))
+    for n in (3, 5, 8, 13):
+        lines = [f"relation R({', '.join(f'a{i}' for i in range(n))}) key(a0)"]
+        lines += [f"fd F{i}: a{i} -> a{i + 1}" for i in reversed(range(n - 1))]
+        inputs.append((f"probe chain {n}", lines))
+    for m in (2, 3, 5):
+        a, b = ([f"{side}{i}" for i in range(m)] for side in "ab")
+        lines = [f"relation R({', '.join(a + b)}) key({', '.join(a)})"]
+        lines += [f"fd F{i}: a{i} -> b{i}" for i in range(m)]
+        lines += [f"fd G{i}: b{i} -> a{i}" for i in range(m)]
+        inputs.append((f"probe pairs {m}", lines))
+    return [(label, "\n".join(["schema probe", *lines]) + "\n") for label, lines in inputs]

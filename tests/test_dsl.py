@@ -18,6 +18,7 @@ from normlens import (
     AttributeSpec,
     ClassificationMode,
     DecompositionError,
+    FunctionalDependency,
     NormalForm,
     RelationSchema,
     Schema,
@@ -26,6 +27,7 @@ from normlens import (
     candidate_keys,
     emit_report,
     emit_schema,
+    normalize_fds,
     normalize_to_bcnf,
     parse_schema,
     partition_preventing,
@@ -36,7 +38,7 @@ from normlens.cli import main
 from normlens.model import _IDENT, IDENTIFIER
 
 from conftest import CASE_STUDY_PATH, REPO_ROOT, fixture_copies
-from corpus import benchmark_texts, build_corpus, build_multi_corpus, fd
+from corpus import benchmark_texts, build_corpus, build_multi_corpus, fd, probe_inputs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -439,6 +441,47 @@ def test_the_benchmark_texts_read_unshared_give_the_same_output(name):
         spaced_code, spaced_out = _structured(command, ClassificationMode.PRIMARY, spaced)
         assert spaced_code == code
         _assert_same_text(spaced_out, out)
+
+
+def _assert_built_alike(record, built):
+    # Every field and derived value, by type and value, and the hash; all are immutable.
+    assert {type(value) for value in vars(built).values()} <= {str, bool, tuple, frozenset}
+    assert vars(record).keys() == vars(built).keys()
+    for name, value in vars(built).items():
+        got = vars(record)[name]
+        assert (type(got), got) == (type(value), value), name
+    assert hash(record) == hash(built)
+
+
+# Repeated names in key, determinant and dependent lists, and a non-atomic attribute.
+_REPEATS = "schema s\nrelation R(a, b, c*) key(b, a, b)\nfd F1: a, a -> b, c, b\nfd F2: b -> c\n"
+
+
+def _texts_and_schemas(family):
+    # (text, the schema its constructors built, or None) of each input of a family.
+    if family == "corpus":
+        return [(emit_schema(s), s) for s, _keys in build_corpus(count=200, seed=31)]
+    if family == "multi":
+        return [(emit_schema(s), s) for s in build_multi_corpus(50, seed=31)]
+    if family == "probes":
+        return [(text, None) for _label, text in probe_inputs()]
+    return [(_REPEATS if family == "repeats" else _BENCHMARK[family], None)]
+
+
+@pytest.mark.parametrize("family", ["corpus", "multi", "probes", "repeats", *sorted(_BENCHMARK)])
+def test_parsed_records_and_singletons_equal_constructor_built_ones(family):
+    for text, built in _texts_and_schemas(family):
+        schema = parse_schema(text).schema
+        if built is not None:
+            for got, want in zip((*schema.relations, *schema.fds), (*built.relations, *built.fds)):
+                _assert_built_alike(got, want)
+        for rel in schema.relations:
+            _assert_built_alike(rel, RelationSchema(rel.name, rel.attributes, rel.primary_key))
+            for spec in rel.attributes:
+                _assert_built_alike(spec, AttributeSpec(spec.name, spec.atomic))
+        for item in (*schema.fds, *normalize_fds(schema.fds)):
+            rebuilt = FunctionalDependency(item.label, item.determinant, item.dependents)
+            _assert_built_alike(item, rebuilt)
 
 
 # str.splitlines() also ends a line at these; grep -n and the DSL do not.

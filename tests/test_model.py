@@ -589,17 +589,11 @@ def test_validation_matches_each_distinct_name_once(case_study, monkeypatch):
 
     monkeypatch.setattr(normlens.model, "IDENTIFIER", Counting())
     # A copy: parse_schema already validated the fixture, and the report is kept on it.
+    # Its names pass the one match of them all, so none is matched on its own.
     assert validate_schema(Schema(case_study.name, case_study.relations, case_study.fds)).ok
-    names = {
-        case_study.name,
-        *(rel.name for rel in case_study.relations),
-        *(name for rel in case_study.relations for name in rel.attribute_names),
-        *(item.label for item in case_study.fds),
-        *(name for item in case_study.fds for name in item.attributes),
-    }
-    assert matched == Counter(names)
-    # A bad name is still reported at every declaration that uses it.
-    matched.clear()
+    assert matched == Counter()
+    # A bad name is still reported at every declaration that uses it, and once the
+    # match of them all fails, each distinct name is matched once.
     relation = RelationSchema("R", ("a", "b-c"), ("a",))
     broken = Schema("s", (relation,), (fd("F1", "a", "b-c"), fd("F2", "b-c", "a")))
     assert [(v.code, v.relation, v.fd_label) for v in validate_schema(broken).violations] == [
@@ -607,7 +601,59 @@ def test_validation_matches_each_distinct_name_once(case_study, monkeypatch):
         ("BAD_ATTRIBUTE_NAME", None, "F1"),
         ("BAD_ATTRIBUTE_NAME", None, "F2"),
     ]
+    assert matched == Counter({"s", "R", "a", "b-c", "F1", "F2"})
     assert matched["b-c"] == 1
+
+
+def _bad_name_findings(schema):
+    # The name rule of validate_schema, matching every use of every name on its own.
+    def bad(name):
+        return not normlens.model.IDENTIFIER.match(name or "")
+
+    found = [("BAD_SCHEMA_NAME", None, None)] if bad(schema.name) else []
+    for rel in schema.relations:
+        found += [("BAD_RELATION_NAME", rel.name, None)] * bad(rel.name)
+        found += [("BAD_ATTRIBUTE_NAME", rel.name, None) for n in rel.attribute_names if bad(n)]
+    for item in schema.fds:
+        found += [("BAD_FD_LABEL", None, item.label)] * bad(item.label)
+        names = (*item.determinant, *item.dependents)
+        found += [("BAD_ATTRIBUTE_NAME", None, item.label) for n in names if bad(n)]
+    return found
+
+
+def _schemas_naming(name):
+    # The name as the schema's, a relation's, an attribute's, a label and on each side of an FD.
+    rel = RelationSchema("R", ("a", "b"), ("a",))
+    with_attribute = RelationSchema("R", ("a", AttributeSpec(name)), ("a",))
+    return [
+        Schema(name, (rel,), (fd("F", "a", "b"),)),
+        Schema("s", (RelationSchema(name, ("a", "b"), ("a",)),), (fd("F", "a", "b"),)),
+        Schema("s", (with_attribute,), (FunctionalDependency("F", ("a",), (name,)),)),
+        Schema("s", (rel,), (FunctionalDependency(name, ("a",), ("b",)),)),
+        Schema("s", (rel,), (FunctionalDependency("F", (name, "a"), ("b",)),)),
+    ]
+
+
+@pytest.mark.parametrize("name", ["a b", "a\nb", "", None, "a ", "\na", "b-c"])
+def test_the_match_of_all_names_passes_no_bad_name(name):
+    # Joined by spaces, "a b" and "" would give a string of identifiers and spaces.
+    together = RelationSchema("R", ("a", *map(AttributeSpec, ("a b", "", None, "c"))), ("a",))
+    mixed = Schema("s", (together,), (FunctionalDependency("F", ("a", "a b"), ("", "c")),))
+    for schema in [*_schemas_naming(name), mixed]:
+        bad = [
+            (v.code, v.relation, v.fd_label)
+            for v in validate_schema(schema).violations
+            if v.code.startswith("BAD_")
+        ]
+        assert bad == _bad_name_findings(schema) != []
+
+
+def test_a_name_that_is_no_string_fails_as_its_own_match_does():
+    with pytest.raises(TypeError):
+        normlens.model.IDENTIFIER.match(5)
+    for schema in _schemas_naming(5):
+        with pytest.raises(TypeError):
+            validate_schema(schema)
 
 
 def test_each_heading_is_projected_once_and_shared_by_with_relations(case_study, monkeypatch):

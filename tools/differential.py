@@ -7,7 +7,9 @@ Usage, from the root of a checkout:
 ``git archive REV src`` is unpacked into a temporary directory. One worker
 process per tree imports that tree's ``normlens`` and answers each request
 in turn: a ``cli.main`` run on a given stdin, captured as stdout, stderr and
-exit code, or a ``parse_schema`` result (schema and diagnostics, by repr).
+exit code, or a ``parse_schema`` result: schema and diagnostics by repr, and
+the derived values that repr leaves out, of each relation, each FD and each
+singleton of ``normalize_fds``.
 Both workers get the same requests, and every answer is compared.
 
 Inputs: the fixture and every ``tests/golden/*.nls``; the emitted schemas of
@@ -16,9 +18,10 @@ the benchmark's ``bulk``, ``decompose`` and ``keysearch`` texts at seeds 1-3,
 as ``bench/run.py`` builds them; and MUTATIONS seeded token-level mutations
 of those inputs. Each input is parsed, and every command of COMMANDS runs on
 it in both formats, except structured ``normalize`` on ``bulk``, whose output
-is over 100 MB. The probe shapes of ``probe_inputs()`` (independent splits,
-an FD chain, and pairs of attributes that determine each other), whose scores
-have larger denominators, run every command in both modes and both formats.
+is over 100 MB. The probe shapes of ``probe_inputs()`` in ``tests/corpus.py``
+(independent splits, an FD chain, and pairs of attributes that determine each
+other), whose scores have larger denominators, run every command in both modes
+and both formats.
 Every argument list of ``spellings()`` also runs, with the
 fixture on stdin and, in most, as the path: help, usage errors, bad values,
 abbreviations, ``=`` forms, reordered and repeated options, ``-`` and ``--``.
@@ -67,19 +70,36 @@ ALLOWED = ()
 
 # A worker reads one JSON request per line: [argv, stdin text], or [null, text]
 # for parse_schema. It answers one JSON line: [stdout, stderr, exit code], or
-# [repr of the ParseResult, whether it holds a syntax error].
+# [repr of the ParseResult, whether it holds a syntax error, derived values]:
+# each with its type's name, the attribute names in order and every derived set sorted.
 WORKER = r"""
 import io, json, sys, traceback
 sys.path.insert(0, sys.argv[1])
-from normlens import cli
+from normlens import cli, normalize_fds
 from normlens.dsl import parse_schema
+
+def typed(value, order=sorted):
+    return [type(value).__name__, order(value)]
+
+def derived(schema):
+    if schema is None:
+        return None
+    relations = [
+        [typed(rel.attribute_names, list), typed(rel.attribute_set), typed(rel.primary_key_set)]
+        for rel in schema.relations
+    ]
+    fds = [
+        [repr(fd), typed(fd.determinant_set), typed(fd.dependents_set), typed(fd.attributes)]
+        for fd in (*schema.fds, *normalize_fds(schema.fds))
+    ]
+    return [relations, fds]
 
 replies = sys.stdout
 for line in sys.stdin:
     argv, text = json.loads(line)
     if argv is None:
         result = parse_schema(text)
-        reply = [repr(result), bool(result.syntax_errors)]
+        reply = [repr(result), bool(result.syntax_errors), derived(result.schema)]
     else:
         stdin = sys.stdin
         sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
@@ -151,32 +171,6 @@ def base_inputs() -> list[tuple[str, str]]:
     return inputs
 
 
-def probe_inputs() -> list[tuple[str, str]]:
-    """(label, text) of the probe shapes at small sizes.
-
-    ``star k``: k relations Ri(ai, bi, ci) key(ai) with bi -> ci. ``chain n``: one
-    relation R(a0..a(n-1)) key(a0) with a(i) -> a(i+1), listed last to first.
-    ``pairs m``: one relation R(a0..a(m-1), b0..b(m-1)) key(a0..a(m-1)) with ai -> bi
-    and bi -> ai, which has 2^m candidate keys.
-    """
-    inputs = []
-    for k in (1, 3, 7):
-        lines = [f"relation R{i}(a{i}, b{i}, c{i}) key(a{i})" for i in range(k)]
-        lines += [f"fd F{i}: b{i} -> c{i}" for i in range(k)]
-        inputs.append((f"probe star {k}", lines))
-    for n in (3, 5, 8, 13):
-        lines = [f"relation R({', '.join(f'a{i}' for i in range(n))}) key(a0)"]
-        lines += [f"fd F{i}: a{i} -> a{i + 1}" for i in reversed(range(n - 1))]
-        inputs.append((f"probe chain {n}", lines))
-    for m in (2, 3, 5):
-        a, b = ([f"{side}{i}" for i in range(m)] for side in "ab")
-        lines = [f"relation R({', '.join(a + b)}) key({', '.join(a)})"]
-        lines += [f"fd F{i}: a{i} -> b{i}" for i in range(m)]
-        lines += [f"fd G{i}: b{i} -> a{i}" for i in range(m)]
-        inputs.append((f"probe pairs {m}", lines))
-    return [(label, "\n".join(["schema probe", *lines]) + "\n") for label, lines in inputs]
-
-
 def mutate(text: str, rng: random.Random) -> str:
     """One to three token edits: drop, repeat, replace or insert a piece."""
     pieces = _PIECE_RE.findall(text)
@@ -234,6 +228,8 @@ def main(argv: list[str] | None = None) -> int:
         ["git", "archive", rev, "src"], cwd=ROOT, check=True, stdout=subprocess.PIPE
     ).stdout
     bases = base_inputs()
+    from corpus import probe_inputs  # base_inputs put tests/ on the path
+
     inputs = list(bases)
     for number in range(MUTATIONS):
         rng = random.Random(f"mutation:{number}")
@@ -318,7 +314,9 @@ def _allowed(kind: str, label: str, request: list[str] | None) -> int | None:
 
 
 def _fields(request: list[str] | None) -> tuple[str, ...]:
-    return ("repr", "syntax error") if request is None else ("stdout", "stderr", "exit code")
+    if request is None:
+        return ("repr", "syntax error", "derived values")
+    return ("stdout", "stderr", "exit code")
 
 
 def _command(request: list[str] | tuple[str, ...] | None) -> str:
