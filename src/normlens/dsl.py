@@ -11,8 +11,8 @@ Grammar ('#' starts a comment, blank lines are skipped):
     IDENT         := [A-Za-z_][A-Za-z0-9_]*
 
 The code reads this grammar from one table, ``_GRAMMAR``: it builds the
-regular expression that reads a well-formed line and drives the token walk
-that places a rejected line's error.
+regular expression that reads every well-formed line and drives the token
+walk that only places the error of a rejected or out-of-order line.
 
 The parser recovers per line and reports every diagnostic with a 1-based
 line and column. Semantic rules are delegated to ``validate_schema``; its
@@ -31,8 +31,8 @@ import re
 import sys
 
 from .model import (
-    _BOOL, _IDENT, _TOP, IDENTIFIER, AttributeSpec, FunctionalDependency, RelationSchema, Schema,
-    Severity, _array, _names, _new, _quote, _Record, validate_schema,
+    _BOOL, _IDENT, _TOP, AttributeSpec, FunctionalDependency, RelationSchema, Schema, Severity,
+    _array, _is_identifier, _names, _new, _quote, _Record, validate_schema,
 )
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -78,9 +78,11 @@ def _pattern(keyword: str) -> str:
     return pattern
 
 
-# A whole well-formed relation line (groups: name, attributes, key) or fd line
-# (groups: label, determinant, dependents).
-_DECLARATION_RE = re.compile(rf"\s*(?:{_pattern('relation')}|{_pattern('fd')})\s*")
+# A whole well-formed relation line (groups: name, attributes, key), fd line
+# (groups: label, determinant, dependents) or schema line (group: name).
+_DECLARATION_RE = re.compile(
+    rf"\s*(?:{_pattern('relation')}|{_pattern('fd')}|{_pattern('schema')})\s*"
+)
 
 
 class ParseDiagnostic(_Record):
@@ -170,17 +172,16 @@ def _error(sink: list[ParseDiagnostic], line_no: int, column: int, message: str)
     sink.append(ParseDiagnostic(line_no, column, Severity.ERROR, message))
 
 
-def _walk(sink: list[ParseDiagnostic], line_no: int, content: str) -> str | None:
-    # Walks a line's tokens through its keyword's steps: a line the match rejected,
-    # to place its error, or the schema line. Records any repeated-name warning and
-    # the first error, and returns the line's name when it has no error.
+def _walk(sink: list[ParseDiagnostic], line_no: int, content: str) -> None:
+    # Walks the tokens of a line the match rejected through its keyword's steps, only
+    # to place its error: records the first error and any repeated-name warning before it.
     tokens = [(m[0], m.start() + 1) for m in _TOKEN_RE.finditer(content)]
     # End of line: no text, one column past the last non-blank character.
     tokens.append((None, len(content.rstrip()) + 1))
     head, column = tokens[0]
     if head not in _GRAMMAR:
         return _error(sink, line_no, column, f"expected 'schema', 'relation' or 'fd', got {head!r}")
-    name, at = None, 1
+    at = 1
     for kind, what in _GRAMMAR[head]:
         text, column = tokens[at]
         if kind == "token":
@@ -188,17 +189,17 @@ def _walk(sink: list[ParseDiagnostic], line_no: int, content: str) -> str | None
                 return _error(sink, line_no, column, f"expected '{what}'")
             at += 1
         elif kind == "name":
-            if not IDENTIFIER.match(text or ""):
+            if not _is_identifier(text or ""):
                 return _error(sink, line_no, column, f"expected {what}")
-            name, at = text, at + 1
+            at += 1
         else:  # names apart by commas; in the attribute list each may carry a '*'
             starred = kind == "attributes"
-            if (text == ")") if starred else not IDENTIFIER.match(text or ""):
+            if (text == ")") if starred else not _is_identifier(text or ""):
                 return _error(sink, line_no, column, f"empty {what} list")
             seen: set[str] = set()
             while True:
                 text, column = tokens[at]
-                if not IDENTIFIER.match(text or ""):
+                if not _is_identifier(text or ""):
                     item = "name" if starred else "attribute"
                     return _error(sink, line_no, column, f"expected {what} {item}")
                 if text in seen and not starred:
@@ -210,8 +211,7 @@ def _walk(sink: list[ParseDiagnostic], line_no: int, content: str) -> str | None
                 at += 1
     text, column = tokens[at]
     if text is not None:
-        return _error(sink, line_no, column, f"unexpected text after {head} declaration")
-    return name
+        _error(sink, line_no, column, f"unexpected text after {head} declaration")
 
 
 def _duplicate(line_no: int, column: int, name: str, what: str) -> ParseDiagnostic:
@@ -281,7 +281,12 @@ def parse_schema(text: str) -> ParseResult:
                 continue
             match = _DECLARATION_RE.fullmatch(content)
         # A declaration out of order goes on to the checks below, which report it.
-        if match and schema_name is not None and (match[4] or not fds):
+        if match and match[7]:
+            if schema_name is None:
+                # The keyword's column: only whitespace, which holds no "schema", precedes it.
+                schema_name, schema_anchor = match[7], (line_no, content.index("schema") + 1)
+                continue
+        elif match and schema_name is not None and (match[4] or not fds):
             if match[1]:
                 attrs = tuple(
                     specs.get(f) or specs.setdefault(f, AttributeSpec(f[0], not f[1]))
@@ -306,11 +311,8 @@ def parse_schema(text: str) -> ParseResult:
             message = "relation declarations must come before fd declarations"
             _error(diagnostics, line_no, column, message)
         else:
-            # The match took every well-formed relation and fd line in order, so
-            # only a schema line can pass the walk.
-            name = _walk(diagnostics, line_no, content)
-            if name is not None:
-                schema_name, schema_anchor = name, (line_no, column)
+            # The match took every well-formed line in order, so the walk finds an error.
+            _walk(diagnostics, line_no, content)
 
     if schema_name is None:
         _error(diagnostics, 1, 1, "missing schema declaration")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import re
 from _json import encode_basestring_ascii as _quote  # the C encoder json.encoder re-exports
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -36,8 +35,12 @@ if TYPE_CHECKING:  # annotations only; completeness builds the scores
     _Names = tuple[tuple[str, ...], frozenset[str]]  # canonical: distinct, in order, and their set
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"  # the grammar's IDENT; dsl builds its patterns on it
-IDENTIFIER = re.compile(rf"{_IDENT}\Z")
-_IDENTIFIERS = re.compile(rf"(?:{_IDENT} )*\Z")  # names, each followed by one space
+
+
+def _is_identifier(name: str) -> bool:
+    # Whether name is an IDENT: exactly the ASCII strings str.isidentifier() accepts.
+    # A name that is not a str raises TypeError.
+    return str.isascii(name) and str.isidentifier(name)
 
 
 class NormalForm(IntEnum):
@@ -418,21 +421,14 @@ def validate_schema(schema: Schema) -> ValidationReport:
         return vars(schema)["_report"]
     out: list[Violation] = []
     universe = frozenset().union(*(rel.attribute_set for rel in schema.relations))
-    # Names repeat across declarations, so the distinct ones are matched in one go, joined
-    # by spaces: with one space fewer than names, no name holds one. Only when that fails
-    # is each matched on its own, to find the bad ones.
+    # Names repeat across declarations, so each distinct one is tested once.
     names = universe.union(
         (schema.name,),
         (rel.name for rel in schema.relations),
         (fd.label for fd in schema.fds),
         *(fd.attributes for fd in schema.fds),
     )
-    try:
-        joined = " ".join(names)
-    except TypeError:  # a name that is not a str
-        joined = ""
-    one_match = joined.count(" ") == len(names) - 1 and _IDENTIFIERS.match(joined + " ")
-    bad_names = set() if one_match else {n for n in names if not IDENTIFIER.match(n or "")}
+    bad_names = {n for n in names if not _is_identifier(n or "")}
 
     def err(
         code: str, message: str, subject: _Subject = None, severity: Severity = Severity.ERROR

@@ -23,7 +23,7 @@ from .completeness import SchemaNC, _equation, _schema_nc, _sum, relation_nc, sc
 from .errors import AlreadyBCNFError, DecompositionError, UnknownRelationError
 from .fd import DEFAULT_KEY_CAP
 from .model import (
-    _BOOL, _TOP, IDENTIFIER, ClassificationMode, NormalForm, RelationSchema, Schema, _Record,
+    _BOOL, _TOP, ClassificationMode, NormalForm, RelationSchema, Schema, _is_identifier, _Record,
     _array, _names, _quote, _shared, normalize_fds,
 )
 
@@ -163,7 +163,7 @@ def decompose_step(
         raise DecompositionError(
             f"decomposing {relation_name!r} produces duplicate relation names {produced}"
         )
-    if not all(map(IDENTIFIER.match, produced)):
+    if not all(map(_is_identifier, produced)):
         raise DecompositionError(f"a relation name in {produced} is not an identifier")
 
     relations = list(schema.relations)
@@ -287,17 +287,12 @@ def _write_trace(trace: TransformTrace, write: Callable[[str], object]) -> None:
     write(f'{_TOP + "]" if trace.steps else "[]"},\n  "unpreserved_fds": {unpreserved}\n}}\n')
 
 
-def _snapshot_fd_lines(fds: tuple[FunctionalDependency, ...], indent: str, _: object) -> list[str]:
-    from .dsl import _fd_line  # the DSL's own line; only dsl.emit_report gets here
-
-    return [f"{indent}{_fd_line(fd)}" for fd in fds]
-
-
 def _text_trace(trace: TransformTrace, dsl_snapshots: bool) -> list[str]:
-    from .dsl import _declaration_lines  # the DSL's own lines; only dsl.emit_report gets here
+    from .dsl import _declaration_lines, _fd_line  # the DSL's own; only dsl.emit_report gets here
 
-    # Every step's schema shares one FD tuple: its snapshot lines are rendered once.
-    cache: dict[tuple[int, str], Any] = {}
+    # Each step's schema keeps the FD tuple of the one before it, so its block is rendered once.
+    fds: tuple[FunctionalDependency, ...] | None = None
+    fd_lines: list[str] = []
     suffix = " [strict mode]" if trace.initial_nc.mode is ClassificationMode.STRICT else ""
     lines = [
         f"schema {trace.initial_nc.schema.name}: normalization trace{suffix}",
@@ -317,8 +312,11 @@ def _text_trace(trace: TransformTrace, dsl_snapshots: bool) -> list[str]:
             lines.append("  note: new relation is not yet in BCNF and will be split again")
         if dsl_snapshots:
             lines.append(f"  schema after step {number}:")
-            lines += [f"    {text}" for text in _declaration_lines(step.nc_after.schema)]
-            lines += _shared(cache, _snapshot_fd_lines, step.nc_after.schema.fds, "    ")
+            schema = step.nc_after.schema
+            lines += [f"    {text}" for text in _declaration_lines(schema)]
+            if schema.fds is not fds:
+                fds, fd_lines = schema.fds, [f"    {_fd_line(fd)}" for fd in schema.fds]
+            lines += fd_lines
     lines += [
         "",
         f"final NC: {_equation(trace.final_nc)}",

@@ -587,9 +587,7 @@ _SCORE_RENDERERS = {
     "_exact", "_labels",
 }
 _TRACE_RENDERERS = {"_step", "_write_trace", "_text_trace"}
-_ALL_RENDERERS = _SCORE_RENDERERS | _TRACE_RENDERERS | {
-    "_relation", "_fds", "_schema", "_snapshot_fd_lines",
-}
+_ALL_RENDERERS = _SCORE_RENDERERS | _TRACE_RENDERERS | {"_relation", "_fds", "_schema"}
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -43,7 +44,7 @@ from normlens import (
     schema_nc,
     validate_schema,
 )
-from normlens.model import _truncated, truncated
+from normlens.model import _IDENT, _is_identifier, _truncated, truncated
 
 from conftest import CASE_STUDY_PATH
 from corpus import build_corpus, fd
@@ -578,22 +579,42 @@ def test_validation_is_order_independent(case_study):
     assert validate_schema(broken) == validate_schema(broken)
 
 
+# ASCII and a non-ASCII letter, a full-width letter, a letter number, an Arabic-Indic
+# digit and a superscript digit: str.isidentifier() takes the first three as letters.
+_NAME_CHARACTERS = [chr(code) for code in range(128)] + ["é", "Ａ", "Ⅰ", "٣", "²"]
+
+
+def _agrees_with_the_grammar(name):
+    return _is_identifier(name) == bool(re.fullmatch(_IDENT, name))
+
+
+def test_the_name_test_is_the_grammars_ident_on_short_strings():
+    for length in range(3):
+        for chars in itertools.product(_NAME_CHARACTERS, repeat=length):
+            assert _agrees_with_the_grammar("".join(chars)), chars
+
+
+@given(st.text())
+def test_the_name_test_is_the_grammars_ident(name):
+    assert _agrees_with_the_grammar(name)
+
+
 def test_validation_matches_each_distinct_name_once(case_study, monkeypatch):
-    matched = Counter()
-    identifier = normlens.model.IDENTIFIER
+    tested = Counter()
 
-    class Counting:
-        def match(self, name):
-            matched[name] += 1
-            return identifier.match(name)
+    def counting(name):
+        tested[name] += 1
+        return _is_identifier(name)
 
-    monkeypatch.setattr(normlens.model, "IDENTIFIER", Counting())
+    monkeypatch.setattr(normlens.model, "_is_identifier", counting)
     # A copy: parse_schema already validated the fixture, and the report is kept on it.
-    # Its names pass the one match of them all, so none is matched on its own.
-    assert validate_schema(Schema(case_study.name, case_study.relations, case_study.fds)).ok
-    assert matched == Counter()
-    # A bad name is still reported at every declaration that uses it, and once the
-    # match of them all fails, each distinct name is matched once.
+    fixture = Schema(case_study.name, case_study.relations, case_study.fds)
+    assert validate_schema(fixture).ok
+    rel = fixture.relations[0]
+    names = {fixture.name, rel.name, *rel.attribute_names, *(item.label for item in fixture.fds)}
+    assert tested == Counter(names)
+    # A bad name is reported at every declaration that uses it, and still tested once.
+    tested.clear()
     relation = RelationSchema("R", ("a", "b-c"), ("a",))
     broken = Schema("s", (relation,), (fd("F1", "a", "b-c"), fd("F2", "b-c", "a")))
     assert [(v.code, v.relation, v.fd_label) for v in validate_schema(broken).violations] == [
@@ -601,14 +622,13 @@ def test_validation_matches_each_distinct_name_once(case_study, monkeypatch):
         ("BAD_ATTRIBUTE_NAME", None, "F1"),
         ("BAD_ATTRIBUTE_NAME", None, "F2"),
     ]
-    assert matched == Counter({"s", "R", "a", "b-c", "F1", "F2"})
-    assert matched["b-c"] == 1
+    assert tested == Counter({"s", "R", "a", "b-c", "F1", "F2"})
 
 
 def _bad_name_findings(schema):
-    # The name rule of validate_schema, matching every use of every name on its own.
+    # The name rule of validate_schema, as the grammar's IDENT, on every use of every name.
     def bad(name):
-        return not normlens.model.IDENTIFIER.match(name or "")
+        return not re.fullmatch(_IDENT, name or "")
 
     found = [("BAD_SCHEMA_NAME", None, None)] if bad(schema.name) else []
     for rel in schema.relations:
@@ -634,9 +654,9 @@ def _schemas_naming(name):
     ]
 
 
-@pytest.mark.parametrize("name", ["a b", "a\nb", "", None, "a ", "\na", "b-c"])
-def test_the_match_of_all_names_passes_no_bad_name(name):
-    # Joined by spaces, "a b" and "" would give a string of identifiers and spaces.
+@pytest.mark.parametrize("name", ["a b", "a\nb", "", None, "a ", "\na", "b-c", "é", "Ａ"])
+def test_every_use_of_a_bad_name_is_reported(name):
+    # Bad names side by side, in one heading and one FD, are each reported too.
     together = RelationSchema("R", ("a", *map(AttributeSpec, ("a b", "", None, "c"))), ("a",))
     mixed = Schema("s", (together,), (FunctionalDependency("F", ("a", "a b"), ("", "c")),))
     for schema in [*_schemas_naming(name), mixed]:
@@ -648,9 +668,9 @@ def test_the_match_of_all_names_passes_no_bad_name(name):
         assert bad == _bad_name_findings(schema) != []
 
 
-def test_a_name_that_is_no_string_fails_as_its_own_match_does():
+def test_a_name_that_is_no_string_fails_as_its_own_test_does():
     with pytest.raises(TypeError):
-        normlens.model.IDENTIFIER.match(5)
+        _is_identifier(5)
     for schema in _schemas_naming(5):
         with pytest.raises(TypeError):
             validate_schema(schema)

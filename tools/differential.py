@@ -7,9 +7,11 @@ Usage, from the root of a checkout:
 ``git archive REV src`` is unpacked into a temporary directory. One worker
 process per tree imports that tree's ``normlens`` and answers each request
 in turn: a ``cli.main`` run on a given stdin, captured as stdout, stderr and
-exit code, or a ``parse_schema`` result: schema and diagnostics by repr, and
+exit code; a ``parse_schema`` result: schema and diagnostics by repr, and
 the derived values that repr leaves out, of each relation, each FD and each
-singleton of ``normalize_fds``.
+singleton of ``normalize_fds``; or a ``validate_schema`` result on a schema
+built with the library's constructors: the repr of its violations, or the
+name of the exception it raises.
 Both workers get the same requests, and every answer is compared.
 
 Inputs: the fixture and every ``tests/golden/*.nls``; the emitted schemas of
@@ -25,6 +27,9 @@ and both formats.
 Every argument list of ``spellings()`` also runs, with the
 fixture on stdin and, in most, as the path: help, usage errors, bad values,
 abbreviations, ``=`` forms, reordered and repeated options, ``-`` and ``--``.
+The parser never reads a name that is not an identifier, so the schemas of
+``validations()`` are built in the worker instead: each of BAD_NAMES in every
+place a name can take, and one schema that holds them side by side.
 A change that alters output on purpose lists each such difference in
 ALLOWED. The script prints every difference it allows, the counts and the
 first difference it does not allow. It exits 1 on such a difference, and on
@@ -62,20 +67,26 @@ COMMANDS = (
 FORMATS = ("text", "structured")
 PROBE_COMMANDS = (("check",), ("analyze",), ("normalize",), ("normalize", "--trace"), ("keys",))
 FIXTURE = ROOT / "case_study.nls"
+# Names that are not identifiers, and one that is not a str (validate_schema raises TypeError).
+BAD_NAMES = ("a b", "a\nb", "", None, "a ", "\na", "b-c", "é", "Ａ", "a\x00", 5)
 # Differences the working tree makes on purpose: (family, input, arguments, reason). An
-# entry allows a difference in its family (parse_schema, cli.main, probe shapes or argument
-# spellings) on an input whose label starts with its input, when the argument list holds its arguments
-# side by side. Once the change is the reference its entries are stale: empty the list.
+# entry allows a difference in its family (parse_schema, cli.main, probe shapes, argument
+# spellings or validate_schema) on an input whose label starts with its input, when the
+# argument list holds its arguments side by side. Once the change is the reference its
+# entries are stale: empty the list.
 ALLOWED = ()
 
-# A worker reads one JSON request per line: [argv, stdin text], or [null, text]
-# for parse_schema. It answers one JSON line: [stdout, stderr, exit code], or
-# [repr of the ParseResult, whether it holds a syntax error, derived values]:
-# each with its type's name, the attribute names in order and every derived set sorted.
+# A worker reads one JSON request per line: [argv, stdin text], [null, text] for
+# parse_schema, or ["validate_schema", schema as JSON: [name, relations as [name,
+# attributes, key], FDs as [label, determinant, dependents]]]. It answers one JSON
+# line: [stdout, stderr, exit code]; [repr of the ParseResult, whether it holds a
+# syntax error, derived values]: each with its type's name, the attribute names in
+# order and every derived set sorted; or [repr of the violations, or the exception's name].
 WORKER = r"""
 import io, json, sys, traceback
 sys.path.insert(0, sys.argv[1])
-from normlens import cli, normalize_fds
+from normlens import AttributeSpec, FunctionalDependency, RelationSchema, Schema
+from normlens import cli, normalize_fds, validate_schema
 from normlens.dsl import parse_schema
 
 def typed(value, order=sorted):
@@ -100,6 +111,18 @@ for line in sys.stdin:
     if argv is None:
         result = parse_schema(text)
         reply = [repr(result), bool(result.syntax_errors), derived(result.schema)]
+    elif argv == "validate_schema":
+        name, relations, fds = json.loads(text)
+        try:
+            specs = [(r, [AttributeSpec(a) for a in attrs], key) for r, attrs, key in relations]
+            schema = Schema(
+                name,
+                [RelationSchema(*parts) for parts in specs],
+                [FunctionalDependency(*parts) for parts in fds],
+            )
+            reply = [repr(validate_schema(schema).violations)]
+        except Exception as exc:
+            reply = [type(exc).__name__]
     else:
         stdin = sys.stdin
         sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
@@ -211,6 +234,24 @@ def spellings(path: str) -> list[list[str]]:
     return lists
 
 
+def validations() -> list[tuple[str, str]]:
+    """(label, schema as the worker's JSON) of each bad name in each place, and all together."""
+    relation, fd = ["R", ["a", "b"], ["a"]], ["F", ["a"], ["b"]]
+    schemas = []
+    for name in BAD_NAMES:
+        schemas += [
+            (f"{name!r} as schema name", [name, [relation], [fd]]),
+            (f"{name!r} as relation name", ["s", [[name, ["a", "b"], ["a"]]], [fd]]),
+            (f"{name!r} as attribute", ["s", [["R", ["a", name], ["a"]]], [["F", ["a"], [name]]]]),
+            (f"{name!r} as fd label", ["s", [relation], [[name, ["a"], ["b"]]]]),
+            (f"{name!r} in a determinant", ["s", [relation], [["F", [name, "a"], ["b"]]]]),
+        ]
+    names = [name for name in BAD_NAMES if not isinstance(name, int)]
+    mixed = ["s", [["R", ["a", *names], ["a"]]], [["F", ["a", *names[::2]], names[1::2]]]]
+    schemas.append(("every str and None name together", mixed))
+    return [(label, json.dumps(schema)) for label, schema in schemas]
+
+
 def runs(label: str) -> list[list[str]]:
     return [
         [*command, "--format", format]
@@ -254,7 +295,12 @@ def main(argv: list[str] | None = None) -> int:
         ("argument spellings", "case_study.nls", _read(FIXTURE), argv, False)
         for argv in spellings(str(FIXTURE))
     ]
-    counts = dict.fromkeys(("parse_schema", "cli.main", "probe shapes", "argument spellings"), 0)
+    jobs += [
+        ("validate_schema", label, text, "validate_schema", False)
+        for label, text in validations()
+    ]
+    families = ("parse_schema", "cli.main", "probe shapes", "argument spellings", "validate_schema")
+    counts = dict.fromkeys(families, 0)
     differing = dict(counts)
     allowed = [0] * len(ALLOWED)
     syntax_errors = 0  # mutations that the reference reads with a syntax error
@@ -301,9 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     return 1 if first or stale else 0
 
 
-def _allowed(kind: str, label: str, request: list[str] | None) -> int | None:
+def _allowed(kind: str, label: str, request: list[str] | str | None) -> int | None:
     """The index of the ALLOWED entry that covers this job, or None."""
-    argv = tuple(request or ())
+    argv = tuple(request) if isinstance(request, list) else ()
     for index, (family, inputs, arguments, _reason) in enumerate(ALLOWED):
         width = len(arguments)
         if family == kind and label.startswith(inputs) and any(
@@ -313,22 +359,26 @@ def _allowed(kind: str, label: str, request: list[str] | None) -> int | None:
     return None
 
 
-def _fields(request: list[str] | None) -> tuple[str, ...]:
+def _fields(request: list[str] | str | None) -> tuple[str, ...]:
     if request is None:
         return ("repr", "syntax error", "derived values")
+    if request == "validate_schema":
+        return ("violations",)
     return ("stdout", "stderr", "exit code")
 
 
-def _command(request: list[str] | tuple[str, ...] | None) -> str:
+def _command(request: list[str] | tuple[str, ...] | str | None) -> str:
     # A long token, such as a 5,000-digit numeral, is cut to its first characters.
     if request is None:
         return "parse_schema"
+    if isinstance(request, str):
+        return request
     shown = (t if len(t) <= 40 else f"{t[:8]}... ({len(t)} characters)" for t in request)
     return " ".join(["normlens", *shown])
 
 
 def _describe(
-    rev: str, label: str, text: str, request: list[str] | None, before: list, after: list
+    rev: str, label: str, text: str, request: list[str] | str | None, before: list, after: list
 ) -> str:
     field, old, new = next((f, b, a) for f, b, a in zip(_fields(request), before, after) if b != a)
     old_lines, new_lines = str(old).splitlines(), str(new).splitlines()
