@@ -80,6 +80,13 @@ def partition_preventing(
     return FDPartition(relation, preventing, non_preventing)
 
 
+def _strict(mode: ClassificationMode) -> bool:
+    # The one mode test: whether mode is STRICT, and TypeError for a mode that is no member.
+    if not isinstance(mode, ClassificationMode):
+        raise TypeError(f"mode must be a ClassificationMode, not {mode!r}")
+    return mode is ClassificationMode.STRICT
+
+
 def classify_partition(
     partition: FDPartition,
     mode: ClassificationMode = ClassificationMode.PRIMARY,
@@ -94,17 +101,15 @@ def classify_partition(
     dependency is preventing. Only a preventing dependency (non-superkey
     determinant) can be transitive.
     """
+    strict = _strict(mode)
     relation = partition.relation
     if any(not spec.atomic for spec in relation.attributes):
         return NormalForm.UNF
 
     projected = partition.preventing + partition.non_preventing
-    if mode is ClassificationMode.PRIMARY:
-        keys: tuple[frozenset[str], ...] = (relation.primary_key_set,)
-    else:
-        keys = candidate_keys(relation, projected, cap=key_cap)
+    keys = candidate_keys(relation, projected, cap=key_cap) if strict else (relation.primary_key_set,)
     primes: frozenset[str] = frozenset().union(*keys)
-    if mode is ClassificationMode.STRICT:
+    if strict:
         # Textbook 2NF: no proper subset of a key reaches a non-prime attribute,
         # through any chain of dependencies. Closure is monotone, so the
         # subsets one attribute short of a key are the only ones to try
@@ -120,8 +125,7 @@ def classify_partition(
     if partial:
         return NormalForm.FIRST
     if any(
-        not fd.dependents_set <= primes
-        and (mode is ClassificationMode.STRICT or fd.determinant_set.isdisjoint(primes))
+        not fd.dependents_set <= primes and (strict or fd.determinant_set.isdisjoint(primes))
         for fd in partition.preventing
     ):
         return NormalForm.SECOND

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .classify import FDPartition, classify_partition, partition_preventing
+from .classify import FDPartition, _strict, classify_partition, partition_preventing
 from .errors import InvalidSchemaError
 from .fd import DEFAULT_KEY_CAP
 from .model import (
@@ -174,15 +174,16 @@ def schema_nc(
 ) -> SchemaNC:
     """Score every relation in schema order and total them exactly.
 
-    Raises InvalidSchemaError, with the report, when ``validate_schema`` finds an error.
+    Raises TypeError for a mode not in ClassificationMode, InvalidSchemaError for an invalid schema.
     """
+    _strict(mode)  # the mode test of classify_partition, also for a schema with no relations
     if not (report := validate_schema(schema)).ok:
         raise InvalidSchemaError(report)
     nc = SchemaNC(schema, mode, tuple(
         relation_nc(rel, schema.projected_fds(rel), mode, key_cap=key_cap)
         for rel in schema.relations
     ))
-    vars(nc)["_trusted"] = True
+    vars(nc)["_key_cap"] = key_cap  # trusted: a step reads the cap it was keyed at here
     return nc
 
 

@@ -57,13 +57,7 @@ class NormalForm(IntEnum):
         return _NF_LABELS[self]
 
 
-_NF_LABELS = {
-    NormalForm.UNF: "UNF",
-    NormalForm.FIRST: "1NF",
-    NormalForm.SECOND: "2NF",
-    NormalForm.THIRD: "3NF",
-    NormalForm.BCNF: "BCNF",
-}
+_NF_LABELS = ("UNF", "1NF", "2NF", "3NF", "BCNF")  # by level
 
 
 def truncated(value: Fraction) -> str:

@@ -30,7 +30,6 @@ from .model import (
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     from collections.abc import Callable, Mapping
-    from typing import Any
 
     from .model import FunctionalDependency
 
@@ -89,29 +88,30 @@ def decompose_step(
     relation_name: str,
     *,
     rename: Mapping[str, str] | None = None,
-    key_cap: int = DEFAULT_KEY_CAP,
 ) -> TransformStep:
     """Split one preventing dependency group out of the named relation.
 
-    ``nc_before`` is ``schema_nc(schema, mode)`` or an earlier step's
-    ``nc_after``, both trusted; a hand-built score is checked first against
-    ``schema_nc`` (InvalidSchemaError for an invalid schema, ValueError for
-    other scores). The step splits the score's schema, reads the relation's
-    partition from it and scores only the two changed relations, in its mode.
-    The new relation's default name is ``<source>_<determinant attributes>``,
-    made fresh with a ``_2``, ``_3``, ... suffix while the name is taken; the
-    reduced relation keeps the source name; ``rename`` maps default names to
-    wanted ones. Raises UnknownRelationError for an unknown name,
-    AlreadyBCNFError for a relation in BCNF, and DecompositionError for one
-    below BCNF with no preventing dependency (no split can atomize an
-    attribute or shrink an oversized key), for a moved dependent in the
-    source primary key, or for a rename to a taken name or a non-identifier,
-    all before any scoring (so before strict mode's CapacityError).
+    ``nc_before`` is a ``schema_nc`` score or an earlier step's ``nc_after``,
+    both trusted; a hand-built score is checked first against
+    ``schema_nc(schema, mode)`` (InvalidSchemaError for an invalid schema,
+    ValueError for other scores). The step splits the score's schema, reads the
+    relation's partition from it and scores only the two changed relations, in
+    its mode and under the key cap it was scored with (the default cap for a
+    hand-built score), so a half wider than that cap raises CapacityError. The new
+    relation's default name is ``<source>_<determinant attributes>``, made fresh
+    with a ``_2``, ``_3``, ... suffix while the name is taken; the reduced
+    relation keeps the source name; ``rename`` maps default names to wanted
+    ones. Raises UnknownRelationError for an unknown name, AlreadyBCNFError for
+    a relation in BCNF, and DecompositionError for one below BCNF with no
+    preventing dependency (no split can atomize an attribute or shrink an
+    oversized key), for a moved dependent in the source primary key, or for a
+    rename to a taken name or a non-identifier, all before any scoring.
     """
     schema, mode = nc_before.schema, nc_before.mode
-    if "_trusted" not in vars(nc_before):  # built by hand
-        if nc_before.per_relation != schema_nc(schema, mode, key_cap=key_cap).per_relation:
+    if "_key_cap" not in vars(nc_before):  # built by hand
+        if nc_before.per_relation != schema_nc(schema, mode).per_relation:
             raise ValueError(f"nc_before is not the {mode.value} score of schema {schema.name!r}")
+    key_cap = vars(nc_before).get("_key_cap", DEFAULT_KEY_CAP)
     rename = rename or {}
     positions = {rel.name: i for i, rel in enumerate(schema.relations)}
     if relation_name not in positions:
@@ -179,7 +179,7 @@ def decompose_step(
     # Every other relation's score carries over: seed the cached total with the difference.
     num, den = scored._nc
     total = _sum((nc_before._total, (-num, den), reduced_nc._nc, new_nc._nc))
-    vars(nc_after).update(_total=total, _trusted=True)
+    vars(nc_after).update(_total=total, _key_cap=key_cap)
     return TransformStep(position, tuple(fd.label for fd in group), nc_before, nc_after)
 
 
@@ -198,8 +198,9 @@ def normalize_to_bcnf(
     is already a superkey (an oversized primary key). Each step replaces its
     source with two strictly smaller relations, so the run ends.
 
-    The schema is scored once; each step scores its two changed relations
-    and hands the score on, so s steps over r relations score r + 2s.
+    The schema is scored once, the only call given ``key_cap``; each step reads
+    the cap from the score it splits, scores its two changed relations and hands
+    the score on, so s steps over r relations score r + 2s.
     """
     steps: list[TransformStep] = []
     nc = initial_nc = schema_nc(schema, mode, key_cap=key_cap)
@@ -207,7 +208,7 @@ def normalize_to_bcnf(
         target = next((r for r in nc.per_relation if r.normal_form is not NormalForm.BCNF), None)
         if target is None:
             return TransformTrace(tuple(steps), initial_nc)
-        steps.append(decompose_step(nc, target.relation_name, rename=rename, key_cap=key_cap))
+        steps.append(decompose_step(nc, target.relation_name, rename=rename))
         nc = steps[-1].nc_after
 
 
@@ -265,7 +266,7 @@ def _step(step: TransformStep, pad: str, cache: dict) -> str:
 
 def _write_trace(trace: TransformTrace, write: Callable[[str], object]) -> None:
     # Written step by step: only the text of records that later steps may share is kept.
-    cache: dict[tuple[int, str], Any] = {}
+    cache: dict[tuple[int, str], tuple[object, str]] = {}
     first, last = trace.initial_nc, trace.final_nc
     write(
         f'{{\n  "final": {_shared(cache, _schema, last.schema, _TOP)},'

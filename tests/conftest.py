@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -17,6 +20,7 @@ from normlens import (
     parse_schema,
     schema_nc,
 )
+from normlens.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CASE_STUDY_PATH = REPO_ROOT / "case_study.nls"
@@ -51,6 +55,20 @@ def run_python(*args: str, stdin: bytes = b"", **kwargs) -> subprocess.Completed
     with start_python(*args, stdin=subprocess.PIPE, **kwargs) as child:
         out, err = child.communicate(stdin)
     return subprocess.CompletedProcess(child.args, child.returncode, out, err)
+
+
+def run_main(argv: list[str], stdin: bytes = b"") -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process, reading ``stdin``.
+
+    The one in-process runner: stdin is read as a file of these bytes is, and both
+    output streams are captured as text.
+    """
+    stream = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", stream), contextlib.redirect_stdout(out):
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def fixture_copies(schema: Schema, copies: int) -> Schema:

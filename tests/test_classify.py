@@ -9,10 +9,13 @@ from normlens import (
     ForeignAttributeError,
     NormalForm,
     RelationSchema,
+    Schema,
     normalize_fds,
     partition_preventing,
     relation_nc,
+    schema_nc,
 )
+from normlens.classify import classify_partition
 
 from corpus import build_corpus, build_multi_corpus, fd
 from oracles import brute_force_normal_form
@@ -144,6 +147,23 @@ def test_primary_mode_never_enumerates_keys():
     assert relation_nc(wide, fds, PRIMARY).normal_form is NormalForm.BCNF
     with pytest.raises(CapacityError):
         relation_nc(wide, fds, STRICT).normal_form
+
+
+def test_a_mode_that_is_no_member_is_refused_before_any_answer(case_study):
+    # "strict" is not ClassificationMode.STRICT: no score mixes the two readings of
+    # the keys, even for a relation the mode would never reach (UNF) or none at all.
+    rel = case_study.relations[0]
+    unf = RelationSchema("U", (AttributeSpec("a"), AttributeSpec("b", atomic=False)), ("a",))
+    with pytest.raises(TypeError, match="ClassificationMode"):
+        schema_nc(case_study, "strict")
+    with pytest.raises(TypeError, match="ClassificationMode"):
+        relation_nc(rel, case_study.projected_fds(rel), "strict")
+    with pytest.raises(TypeError, match="ClassificationMode"):
+        classify_partition(partition_preventing(rel, case_study.projected_fds(rel)), None)
+    with pytest.raises(TypeError, match="ClassificationMode"):
+        relation_nc(unf, (), "primary")
+    with pytest.raises(TypeError, match="ClassificationMode"):
+        schema_nc(Schema("e", []), "strict")
 
 
 def test_bcnf_iff_no_preventing_dependency():

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import contextlib
 import functools
 import gc
 import importlib
@@ -12,7 +11,6 @@ import json
 import os
 import random
 import sys
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +22,9 @@ from normlens import emit_schema
 from normlens.cli import build_parser, main
 from normlens.fd import DEFAULT_KEY_CAP
 
-from conftest import CASE_STUDY_PATH, REPO_ROOT, fixture_copies, run_python, start_python
+from conftest import (
+    CASE_STUDY_PATH, REPO_ROOT, fixture_copies, run_main, run_python, start_python,
+)
 from corpus import random_multi_relation_schema
 
 FIXTURE = str(CASE_STUDY_PATH)
@@ -150,6 +150,22 @@ def test_strict_normalize_names_the_mode_at_the_key_cap(capsys):
     assert (code, out) == (3, "")
     assert err.endswith("capped at 3 (--mode strict needs the key search)\n")
     assert err.count("\n") == 1
+
+
+def test_strict_normalize_refuses_a_half_wider_than_the_key_cap():
+    # R is UNF, so only its split-off half R_a(a, b, d, e) meets the key search.
+    text = (
+        b"schema s\nrelation R(k, c*, a, b, d, e) key(k)\nfd K: k -> c, a\n"
+        b"fd F: a -> b, d, e\n"
+    )
+    code, out, err = run_main(["normalize", "--mode", "strict", "--key-cap", "3"], text)
+    assert (code, out) == (3, "")
+    assert err == (
+        "normlens: relation 'R_a' has 4 attributes; candidate-key search is capped at 3"
+        " (--mode strict needs the key search)\n"
+    )
+    # At a cap of 4 the half is keyed, and the run stops on R, which no split atomizes.
+    assert run_main(["normalize", "--mode", "strict", "--key-cap", "4"], text)[0] == 2
 
 
 def test_check_with_syntax_error_exits_1(capsys, tmp_path):
@@ -403,8 +419,8 @@ def test_keys_normalizes_the_fds_once(capsys, monkeypatch):
         calls.append(len(fds))
         return original(fds)
 
-    for module in (normlens.model, normlens.cli):
-        monkeypatch.setattr(module, "normalize_fds", counting)
+    # Schema._fd_index is the one caller; cli imports the name only for bench/tests.
+    monkeypatch.setattr(normlens.model, "normalize_fds", counting)
     code, out, _err = run(capsys, "keys", FIXTURE)
     assert code == 0
     assert "3 candidate key(s)" in out
@@ -412,14 +428,6 @@ def test_keys_normalizes_the_fds_once(capsys, monkeypatch):
 
 
 COMMANDS = [["check"], ["analyze"], ["normalize"], ["normalize", "--trace"], ["keys"]]
-
-
-def run_on_stdin(argv, text):
-    stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
-    out = io.StringIO()
-    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out):
-        with contextlib.redirect_stderr(io.StringIO()):
-            return main(argv), out.getvalue()
 
 
 @settings(max_examples=12, deadline=None)
@@ -431,7 +439,7 @@ def test_every_command_on_random_schemas_ends_with_a_documented_exit(seed):
             for format in ("text", "structured"):
                 for cap in ("3", "20"):
                     argv = [*command, "--mode", mode, "--format", format, "--key-cap", cap]
-                    code, out = run_on_stdin(argv, text)
+                    code, out, _err = run_main(argv, text.encode())
                     assert code in (0, 2, 3), argv
                     if code == 0 and format == "structured":
                         json.loads(out)
@@ -441,7 +449,7 @@ def test_every_command_on_random_schemas_ends_with_a_documented_exit(seed):
 def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, via):
     def analyze(text):
         if via == "stdin":
-            return run_on_stdin(["analyze"], text)
+            return run_main(["analyze"], text.encode())[:2]
         path = tmp_path / "schema.nls"
         path.write_text(text, encoding="utf-8")
         return run(capsys, "analyze", str(path))[:2]
@@ -669,7 +677,7 @@ def cyclic_garbage(argv, text):
     gc.collect()
     gc.disable()
     try:
-        code, _out = run_on_stdin(argv, text)
+        code = run_main(argv, text.encode())[0]
         return code, gc.collect()
     finally:
         if enabled:

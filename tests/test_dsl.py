@@ -1,10 +1,8 @@
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import re
-import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -34,10 +32,9 @@ from normlens import (
     schema_nc,
 )
 from normlens import completeness, dsl, transform
-from normlens.cli import main
 from normlens.model import _IDENT
 
-from conftest import CASE_STUDY_PATH, REPO_ROOT, fixture_copies
+from conftest import CASE_STUDY_PATH, REPO_ROOT, fixture_copies, run_main
 from corpus import benchmark_texts, build_corpus, build_multi_corpus, fd, probe_inputs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -633,12 +630,7 @@ _BAD_TOKENS = st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)).fi
 
 
 def _structured(command: str, mode: ClassificationMode, text: str) -> tuple[int, str]:
-    stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
-    out = io.StringIO()
-    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out):
-        with contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, "--mode", mode.value, "--format", "structured"])
-    return code, out.getvalue()
+    return run_main([command, "--mode", mode.value, "--format", "structured"], text.encode())[:2]
 
 
 @settings(max_examples=80, deadline=None)

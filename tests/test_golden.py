@@ -19,16 +19,14 @@ block-buffered stdout is a regular file, check that no byte is left unflushed.
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 
 import pytest
 
 from normlens import emit_schema
-from normlens.cli import main
 
-from conftest import CASE_STUDY_PATH, fixture_copies, run_python
+from conftest import CASE_STUDY_PATH, fixture_copies, run_main, run_python
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = {
@@ -45,16 +43,14 @@ ENTRIES = {
 }
 
 
-def run_entry(entry, argv, monkeypatch, capsys, stdin=b"", **streams):
+def run_entry(entry, argv, stdin=b"", **streams):
     """(exit code, stdout, stderr) of ``normlens argv`` through ``entry``, as bytes.
 
     ``streams`` go to ``run_python``, whose children are buffered as a shell starts them.
     """
     if ENTRIES[entry] is None:
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
-        code = main(argv)
-        captured = capsys.readouterr()
-        return code, captured.out.encode("utf-8"), captured.err.encode("utf-8")
+        code, out, err = run_main(argv, stdin)
+        return code, out.encode("utf-8"), err.encode("utf-8")
     done = run_python(*ENTRIES[entry], *argv, stdin=stdin, **streams)
     return done.returncode, done.stdout, done.stderr
 
@@ -63,9 +59,9 @@ def run_entry(entry, argv, monkeypatch, capsys, stdin=b"", **streams):
 @pytest.mark.parametrize("command", ["analyze", "normalize"])
 @pytest.mark.parametrize("source", sorted(INPUTS))
 @pytest.mark.parametrize("entry", ENTRIES)
-def test_structured_output_matches_golden(monkeypatch, capsys, entry, source, command, mode):
+def test_structured_output_matches_golden(entry, source, command, mode):
     argv = [command, str(INPUTS[source]), "--mode", mode, "--format", "structured"]
-    code, out, err = run_entry(entry, argv, monkeypatch, capsys)
+    code, out, err = run_entry(entry, argv)
     assert (code, err) == (0, b"")
     assert out == (GOLDEN / f"{source}.{command}.{mode}.json").read_bytes()
 
@@ -111,32 +107,30 @@ COMMAND_CASES = {
 
 @pytest.mark.parametrize("name", sorted(COMMAND_CASES))
 @pytest.mark.parametrize("entry", ENTRIES)
-def test_command_output_matches_golden(monkeypatch, capsys, entry, name):
+def test_command_output_matches_golden(entry, name):
     source, args, exit_code = COMMAND_CASES[name]
     if source in INPUTS:
-        code, out, err = run_entry(entry, [*args, str(INPUTS[source])], monkeypatch, capsys)
+        code, out, err = run_entry(entry, [*args, str(INPUTS[source])])
     else:
         data = (GOLDEN / f"{source}.nls").read_bytes()
-        code, out, err = run_entry(entry, [*args, "-"], monkeypatch, capsys, stdin=data)
+        code, out, err = run_entry(entry, [*args, "-"], stdin=data)
     assert code == exit_code, err
     assert out == (GOLDEN / f"{name}.out").read_bytes()
     assert err == (b"" if source in INPUTS else (GOLDEN / f"{name}.err").read_bytes())
 
 
 @pytest.mark.parametrize("entry", [entry for entry in ENTRIES if ENTRIES[entry]])
-def test_a_large_output_to_a_regular_file_equals_the_in_process_bytes(
-    monkeypatch, capsys, tmp_path, case_study, entry
-):
+def test_a_large_output_to_a_regular_file_equals_the_in_process_bytes(tmp_path, case_study, entry):
     # A regular file is block-buffered, so the end of the report sits in the
     # buffer until the process entry flushes it.
     source = tmp_path / "copies.nls"
     source.write_text(emit_schema(fixture_copies(case_study, 10)), encoding="utf-8")
     argv = ["normalize", str(source), "--format", "structured"]
-    code, expected, err = run_entry("cli.main", argv, monkeypatch, capsys)
+    code, expected, err = run_entry("cli.main", argv)
     assert (code, err) == (0, b"")
     assert len(expected) > 1_000_000
     with open(tmp_path / "out.json", "wb") as stdout:
-        code, _out, err = run_entry(entry, argv, monkeypatch, capsys, stdout=stdout)
+        code, _out, err = run_entry(entry, argv, stdout=stdout)
     assert (code, err) == (0, b"")
     assert (tmp_path / "out.json").read_bytes() == expected
 

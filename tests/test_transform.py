@@ -12,6 +12,7 @@ from normlens import (
     AttributeSpec,
     CapacityError,
     ClassificationMode,
+    DEFAULT_KEY_CAP,
     DecompositionError,
     FunctionalDependency,
     InvalidSchemaError,
@@ -331,25 +332,65 @@ def test_split_off_relation_gets_a_fresh_default_name():
         decompose_step(schema_nc(Schema("s", relations, fds)), "R", rename={"R_b_2": "R_b"})
 
 
-def test_direct_step_raises_step_errors_before_the_key_search():
-    # key_cap=1 makes any strict-mode key search fail, so each of these must
-    # surface before the step scores the relations it produces.
+def test_direct_step_raises_step_errors_before_the_key_search(monkeypatch):
+    # Each error surfaces before the step scores the relations it produces.
     strict = ClassificationMode.STRICT
     bcnf = Schema("s", (RelationSchema("R", ("a", "b"), ("a",)),), (fd("F1", "a", "b"),))
     broken_key = Schema(
         "s", (RelationSchema("R", ("a", "b", "c"), ("a", "b")),), (fd("F1", "c", "a"),)
     )
+    scores = [schema_nc(bcnf, strict), schema_nc(broken_key, strict)]
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("the step scored a relation before its error")
+
+    monkeypatch.setattr(normlens.transform, "relation_nc", no_scoring)
     with pytest.raises(UnknownRelationError):
-        decompose_step(schema_nc(bcnf, strict), "Nowhere", key_cap=1)
+        decompose_step(scores[0], "Nowhere")
     with pytest.raises(AlreadyBCNFError):
-        decompose_step(schema_nc(bcnf, strict), "R", key_cap=1)
+        decompose_step(scores[0], "R")
     with pytest.raises(DecompositionError, match="primary key"):
-        decompose_step(schema_nc(broken_key, strict), "R", key_cap=1)
-    transitive = Schema(
-        "s", (RelationSchema("R", ("a", "b", "c"), ("a",)),), (fd("F1", "a", "b"), fd("F2", "b", "c"))
+        decompose_step(scores[1], "R")
+
+
+def test_a_step_keys_its_halves_under_the_cap_of_its_score():
+    # A 22-attribute chain scored strict under a cap of 30: the step takes no cap of
+    # its own but reads 30 from the score, so the default of 20 cannot refuse its halves.
+    strict = ClassificationMode.STRICT
+    heading = tuple(f"a{i}" for i in range(22))
+    chain = Schema(
+        "s",
+        (RelationSchema("R", heading, ("a0",)),),
+        tuple(fd(f"F{i}", f"a{i}", f"a{i + 1}") for i in reversed(range(21))),
     )
+    assert len(heading) > DEFAULT_KEY_CAP
     with pytest.raises(CapacityError):
-        decompose_step(schema_nc(transitive, strict), "R", key_cap=1)
+        schema_nc(chain, strict)
+    step = decompose_step(schema_nc(chain, strict, key_cap=30), "R")
+    assert step == normalize_to_bcnf(chain, strict, key_cap=30).steps[0]
+
+
+UNF_WIDE_HALF = (
+    "schema s\nrelation R(k, c*, a, b, d, e) key(k)\nfd K: k -> c, a\nfd F: a -> b, d, e\n"
+)
+
+
+def test_a_step_refuses_a_half_wider_than_the_cap_when_its_source_was_never_keyed():
+    # The non-atomic c leaves R unnormalized before any key search, so R's width never
+    # met the cap; the step's half R_a(a, b, d, e) is the first relation searched.
+    strict = ClassificationMode.STRICT
+    unf = parse_schema(UNF_WIDE_HALF).schema
+    scored = schema_nc(unf, strict, key_cap=3)
+    assert scored.per_relation[0].normal_form is NormalForm.UNF
+    refused = "relation 'R_a' has 4 attributes; candidate-key search is capped at 3"
+    with pytest.raises(CapacityError, match=re.escape(refused)):
+        normalize_to_bcnf(unf, strict, key_cap=3)
+    with pytest.raises(CapacityError, match=re.escape(refused)):
+        decompose_step(scored, "R")
+    step = decompose_step(schema_nc(unf, strict, key_cap=4), "R")
+    assert step.new_relation.attribute_names == ("a", "b", "d", "e")
+    # A hand-built copy of the cap-3 score is checked and stepped at the default cap.
+    assert decompose_step(SchemaNC(unf, strict, scored.per_relation), "R") == step
 
 
 def test_a_score_must_cover_the_relations_of_its_schema(case_study):

@@ -17,8 +17,9 @@ Both workers get the same requests, and every answer is compared.
 Inputs: the fixture and every ``tests/golden/*.nls``; the emitted schemas of
 ``build_corpus(200)`` and ``build_multi_corpus(100)`` (``tests/corpus.py``);
 the benchmark's ``bulk``, ``decompose`` and ``keysearch`` texts at seeds 1-3,
-as ``bench/run.py`` builds them; and MUTATIONS seeded token-level mutations
-of those inputs. Each input is parsed, and every command of COMMANDS runs on
+as ``bench/run.py`` builds them; the ``unkeyed()`` schemas, whose split-off
+half is the first relation a strict run keys; and MUTATIONS seeded
+token-level mutations of those inputs. Each input is parsed, and every command of COMMANDS runs on
 it in both formats, except structured ``normalize`` on ``bulk``, whose output
 is over 100 MB. The probe shapes of ``probe_inputs()`` in ``tests/corpus.py``
 (independent splits, an FD chain, and pairs of attributes that determine each
@@ -63,6 +64,7 @@ COMMANDS = (
     ("keys",),
     ("keys", "--key-cap", "3"),
     ("analyze", "--mode", "strict", "--key-cap", "3"),
+    ("normalize", "--mode", "strict", "--key-cap", "5"),
 )
 FORMATS = ("text", "structured")
 PROBE_COMMANDS = (("check",), ("analyze",), ("normalize",), ("normalize", "--trace"), ("keys",))
@@ -191,6 +193,23 @@ def base_inputs() -> list[tuple[str, str]]:
     inputs += [(f"multi {i}", emit_schema(s)) for i, s in enumerate(build_multi_corpus(100))]
     texts = {seed: benchmark_texts(seed) for seed in SEEDS}
     inputs += [(f"{name} seed {s}", texts[s][name]) for name in texts[SEEDS[0]] for s in SEEDS]
+    return inputs + unkeyed()
+
+
+def unkeyed() -> list[tuple[str, str]]:
+    """(label, text) of a relation left UNF by ``c*``, whose score searches no keys.
+
+    Its one preventing FD splits off a half of 6 attributes, wider than the cap of
+    5 in COMMANDS, or of 21, wider than the default cap of 20: in strict mode the
+    step's key search on that half is the first one, so only the cap the run was
+    given can refuse it.
+    """
+    inputs = []
+    for width in (6, 21):
+        moved = ", ".join(f"b{i}" for i in range(1, width))
+        relation = f"relation R(k, c*, a, {moved}) key(k)"
+        text = f"schema u\n{relation}\nfd K: k -> c, a\nfd F: a -> {moved}\n"
+        inputs.append((f"unkeyed half of {width}", text))
     return inputs
 
 
